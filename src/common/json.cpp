@@ -117,6 +117,13 @@ bool JsonWriter::complete() const noexcept {
   return stack_.empty() && root_written_ && !key_pending_;
 }
 
+std::string hex_u64(std::uint64_t v) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out = "0x";
+  for (int shift = 60; shift >= 0; shift -= 4) out += kDigits[(v >> shift) & 0xf];
+  return out;
+}
+
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);

@@ -77,6 +77,10 @@ class JsonWriter {
 /// Escapes `s` as a JSON string literal (including the quotes).
 [[nodiscard]] std::string json_escape(std::string_view s);
 
+/// "0x" + 16 lowercase hex digits: how 64-bit digests and fingerprints
+/// travel in JSON, since a double cannot hold them exactly.
+[[nodiscard]] std::string hex_u64(std::uint64_t v);
+
 /// Parsed JSON document node.  Numbers are stored as double (sufficient for
 /// report round-trips; counters up to 2^53 are exact).
 class JsonValue {

@@ -3,20 +3,19 @@
 // Append-only JSONL: the first line is a header carrying the journal format
 // version and the sweep-request fingerprint; each subsequent line records
 // one completed sweep cell run as {"cell": key, "payload": hex}.  Appends
-// are one whole line plus fsync, so a crash can lose at most the line being
-// written; the loader stops at the first malformed line (a torn tail),
-// truncates the file back to the last whole line, and resumes with
-// everything before it (without the truncation, the next append would be
-// glued onto the torn bytes and a later load would discard *both* records).
+// are one whole line plus fsync (persist::AppendLog), so a crash can lose at
+// most the line being written; the loader keeps the valid prefix up to the
+// first torn or malformed line and truncates the file back to it (else the
+// next append would glue onto the torn bytes and both records would be lost).
 // The payload is an opaque hex-encoded persist::Archive blob -- the journal
 // does not know what a MixResult is.
 //
 // Process-isolated sweeps (robust::SweepSupervisor) give every worker its
-// own journal shard at `<path>.shard<slot>` in this same format; the
-// supervisor merges the shards back into `<path>` in fixed grid order once
-// the sweep completes, so a resume — even after `kill -9` of the supervisor
-// itself — replays the union of the merged journal and any surviving
-// shards byte-identically.
+// own journal shard at `<path>.shard<slot>` in this same format.  When a
+// sweep completes, sim::run_sweep rewrites `<path>` with every completed
+// cell in fixed grid order (write_merged) and removes the shards, for both
+// backends; a resume -- even after `kill -9` of the sweep process itself --
+// replays the union of `<path>` and any surviving shards byte-identically.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +23,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "persist/append_log.hpp"
 
 namespace msim::persist {
 
@@ -41,7 +42,6 @@ class SweepJournal {
   /// either way, so `resume` against a journal that never got written
   /// simply runs the whole sweep.
   SweepJournal(std::string path, std::uint64_t fingerprint, bool resume);
-  ~SweepJournal();
 
   SweepJournal(const SweepJournal&) = delete;
   SweepJournal& operator=(const SweepJournal&) = delete;
@@ -53,36 +53,31 @@ class SweepJournal {
 
   [[nodiscard]] std::size_t loaded_entries() const noexcept { return entries_.size(); }
 
-  /// All loaded entries, keyed by cell.  Like find(), this reflects the
-  /// load-time state only, never this process's own appends.
-  [[nodiscard]] const std::map<std::string, std::vector<std::uint8_t>>& entries()
-      const noexcept {
-    return entries_;
-  }
-
   /// Durably appends one completed-cell record.  NOT thread-safe: callers
   /// running cells in parallel serialize appends under their own mutex.
   void append(const std::string& key, const std::vector<std::uint8_t>& payload);
 
   /// Read-only load of a journal's completed entries: validates the header
-  /// (PersistError on version/fingerprint mismatch), tolerates a torn tail
-  /// without modifying the file, and returns empty for a missing file.
-  /// Used by the sweep supervisor to union the merged journal with worker
-  /// shards without holding any of them open for appending.
+  /// (PersistError on a malformed header or a version/fingerprint
+  /// mismatch), keeps the valid prefix without modifying the file, and
+  /// returns empty for a missing file.  Used by run_sweep to union the main
+  /// journal with worker shards without holding any of them open.
   [[nodiscard]] static std::map<std::string, std::vector<std::uint8_t>>
   read_completed(const std::string& path, std::uint64_t fingerprint);
 
   /// Atomically replaces `path` with a fresh journal holding `entries` in
-  /// the given order (the supervisor's fixed-grid-order merge).  Readers
+  /// the given order (run_sweep's fixed-grid-order merge).  Readers
   /// see either the old journal or the complete merged one, never a mix.
   static void write_merged(
       const std::string& path, std::uint64_t fingerprint,
       const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>& entries);
 
  private:
-  std::string path_;
-  int fd_ = -1;
-  std::map<std::string, std::vector<std::uint8_t>> entries_;
+  /// Journal appends are fsynced one line at a time.
+  static constexpr std::uint64_t kSyncEvery = 1;
+
+  std::map<std::string, std::vector<std::uint8_t>> entries_;  // before log_:
+  AppendLog log_;  // the constructor's replay fills entries_
 };
 
 }  // namespace msim::persist

@@ -64,14 +64,16 @@ struct FaultPlan {
 /// Binds a FaultPlan to concrete runs: session() yields the core::FaultHooks
 /// to install into a MachineConfig, or nullptr when the plan does not target
 /// that run's RNG stream.  The injector must outlive its sessions, and a
-/// session must outlive the pipeline it is installed into.
+/// session must outlive the pipeline it is installed into.  session() is
+/// virtual so a test can install hooks of its own through RunConfig::faults.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
+  virtual ~FaultInjector() = default;
 
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
 
-  [[nodiscard]] std::unique_ptr<core::FaultHooks> session(
+  [[nodiscard]] virtual std::unique_ptr<core::FaultHooks> session(
       std::uint64_t run_stream_seed) const;
 
  private:

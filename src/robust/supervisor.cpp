@@ -5,8 +5,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -71,12 +71,11 @@ struct WorkerArgs {
 
   // Private shard journal: replaying it first means work journaled just
   // before a death is reported, not repeated.
-  std::unique_ptr<persist::SweepJournal> shard;
+  std::optional<persist::SweepJournal> shard;
   if (!config.journal_path.empty()) {
     try {
-      shard = std::make_unique<persist::SweepJournal>(
-          SweepSupervisor::shard_path(config.journal_path, args.slot),
-          config.journal_fingerprint, /*resume=*/true);
+      shard.emplace(SweepSupervisor::shard_path(config.journal_path, args.slot),
+                    config.journal_fingerprint, /*resume=*/true);
     } catch (const std::exception&) {
       _exit(10);  // unusable shard journal: the supervisor sees a death
     }
@@ -117,7 +116,7 @@ struct WorkerArgs {
   for (const std::size_t cell : args.cells) {
     const std::string key = config.cell_label ? config.cell_label(cell)
                                               : std::to_string(cell);
-    if (shard != nullptr) {
+    if (shard) {
       if (const std::vector<std::uint8_t>* replay = shard->find(key)) {
         std::vector<std::uint8_t> done;
         put_u64(done, cell);
@@ -154,7 +153,7 @@ struct WorkerArgs {
       outcome.error = "unknown exception in sweep cell";
     }
 
-    if (outcome.ok && shard != nullptr) {
+    if (outcome.ok && shard) {
       try {
         shard->append(key, outcome.payload);
       } catch (const std::exception& e) {

@@ -14,8 +14,8 @@
 // state and the shard assignment depends only on the grid.
 //
 // Durability: when a journal path is configured, each worker appends
-// finished cells to its own shard journal `<path>.shard<slot>` (PR 5
-// format, persist/journal.hpp).  A respawned worker replays its shard
+// finished cells to its own shard journal `<path>.shard<slot>` (the sweep
+// journal format, persist/journal.hpp).  A respawned worker replays its shard
 // before running anything, so work journaled just before a death is never
 // repeated even if the CellDone message was lost with the pipe.  The
 // caller (sim::run_sweep) merges shards into the main journal in fixed
@@ -44,9 +44,9 @@ class ProgressBus;
 namespace msim::robust {
 
 /// What one cell produced inside a worker.  `payload` is opaque to the
-/// supervisor and only meaningful when `ok`; `attempts`/`error` describe
-/// in-worker (isolated-cell) retries, which are invisible to the
-/// supervisor's own death accounting.
+/// supervisor and only meaningful when `ok`; `error`/`attempts` describe an
+/// in-worker failure, which is separate from the supervisor's own death
+/// accounting.
 struct CellOutcome {
   bool ok = true;
   std::string error;

@@ -1,6 +1,5 @@
 #include "robust/worker_protocol.hpp"
 
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -8,6 +7,8 @@
 #include <thread>
 
 #include <unistd.h>
+
+#include "persist/atomic_file.hpp"  // write_all
 
 namespace msim::robust {
 
@@ -130,14 +131,11 @@ bool write_frame(int fd, WorkerMsg type,
   std::vector<std::uint8_t> wire;
   wire.reserve(payload.size() + 5);
   encode_frame(type, payload, wire);
-  std::size_t written = 0;
-  while (written < wire.size()) {
-    const ::ssize_t n = ::write(fd, wire.data() + written, wire.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // EPIPE and friends: the supervisor is gone
-    }
-    written += static_cast<std::size_t>(n);
+  try {
+    persist::write_all(fd, {reinterpret_cast<const char*>(wire.data()), wire.size()},
+                       "worker pipe");
+  } catch (const std::runtime_error&) {
+    return false;  // EPIPE and friends: the supervisor is gone
   }
   return true;
 }
@@ -149,7 +147,7 @@ const WorkerFault* ChaosPlan::fault_for(std::uint64_t cell) const noexcept {
   return nullptr;
 }
 
-ChaosPlan ChaosPlan::parse(const std::string& spec) {
+ChaosPlan ChaosPlan::parse(const std::string& spec, std::uint64_t total_cells) {
   ChaosPlan plan;
   std::size_t start = 0;
   while (start <= spec.size()) {
@@ -188,6 +186,11 @@ ChaosPlan ChaosPlan::parse(const std::string& spec) {
       fault.cell = std::stoull(cell);
       if (plan.fault_for(fault.cell) != nullptr) {
         throw std::invalid_argument("chaos: duplicate fault for cell " + cell);
+      }
+      if (fault.cell >= total_cells) {
+        throw std::invalid_argument("chaos: cell " + cell +
+                                    " is outside this sweep's grid of " +
+                                    std::to_string(total_cells) + " cells");
       }
       plan.faults.push_back(fault);
     }

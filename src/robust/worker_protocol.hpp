@@ -117,8 +117,10 @@ struct ChaosPlan {
   /// The fault registered for `cell`, or nullptr.
   [[nodiscard]] const WorkerFault* fault_for(std::uint64_t cell) const noexcept;
 
-  /// Throws std::invalid_argument on malformed specs or duplicate cells.
-  static ChaosPlan parse(const std::string& spec);
+  /// Throws std::invalid_argument on malformed specs, duplicate cells or
+  /// cells outside a grid of `total_cells`.
+  static ChaosPlan parse(const std::string& spec,
+                         std::uint64_t total_cells = ~std::uint64_t{0});
 };
 
 /// Executes `fault` in the worker process (does not return for kKill/kSegv;

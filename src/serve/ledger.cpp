@@ -1,14 +1,10 @@
 #include "serve/ledger.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 #include "common/archive.hpp"  // PersistError
 #include "common/json.hpp"
@@ -57,45 +53,54 @@ std::string transition_line(std::string_view record, std::uint64_t id,
   return os.str();
 }
 
-/// Applies one parsed record to the per-id merge.  Records can reach the
-/// file in near-but-not-exact submission order (appends are serialized,
-/// but a transition for job A may land before job B's `accepted`), so the
-/// merge is keyed by id and tolerant of any inter-job interleaving.
+/// Decodes one record and merges it into its job, all or nothing: the job
+/// is updated on a copy and committed only once every field decoded, so a
+/// bad record (unknown kind, missing or mistyped field) changes nothing and
+/// -- through AppendLog::scan -- ends the valid prefix.  Records can reach
+/// the file in near-but-not-exact order (the queue fires its transition
+/// hook outside its lock, so a job's `running` may land before its
+/// `accepted`), so the merge is keyed by id and tolerant of interleaving.
 void apply_record(std::map<std::uint64_t, LedgerJob>& jobs,
-                  const JsonValue& rec) {
-  const std::string& kind = rec.at("record").as_string();
-  const auto id = static_cast<std::uint64_t>(rec.at("id").as_number());
-  LedgerJob& job = jobs[id];
+                  std::set<std::uint64_t>& accepted, std::string_view text) {
+  using Log = persist::AppendLog;
+  const JsonValue rec = JsonValue::parse(text);
+  const auto kind = Log::field<std::string>(rec, "record");
+  const auto id = Log::field<std::uint64_t>(rec, "id");
+  const auto it = jobs.find(id);
+  LedgerJob job = it == jobs.end() ? LedgerJob{} : it->second;
   job.id = id;
   if (kind == "accepted") {
-    job.priority = static_cast<int>(rec.at("priority").as_number());
-    job.sweep = rec.at("sweep").as_bool();
+    job.priority = Log::field<int>(rec, "priority");
+    job.sweep = Log::field<bool>(rec, "sweep");
     if (rec.contains("idempotency_key")) {
-      job.idempotency_key = rec.at("idempotency_key").as_string();
+      job.idempotency_key = Log::field<std::string>(rec, "idempotency_key");
     }
-    if (rec.contains("ttl_ms")) {
-      job.ttl_ms = static_cast<std::uint64_t>(rec.at("ttl_ms").as_number());
-    }
+    if (rec.contains("ttl_ms")) job.ttl_ms = Log::field<std::uint64_t>(rec, "ttl_ms");
     KvConfig kv;
-    for (const auto& [key, value] : rec.at("config").as_object()) {
-      kv.set(key, value.as_string());
-    }
+    using Config = std::map<std::string, std::string>;
+    for (auto& [key, value] : Log::field<Config>(rec, "config")) kv.set(key, value);
     job.kv = std::move(kv);
   } else if (kind == "running") {
     job.started = true;
-  } else if (kind == "done") {
-    job.terminal = true;
-    job.state = JobState::kDone;
-    job.result_path = rec.at("result_path").as_string();
-  } else if (kind == "failed" || kind == "cancelled" || kind == "expired") {
-    job.terminal = true;
-    job.state = kind == "failed"     ? JobState::kFailed
-                : kind == "expired" ? JobState::kExpired
-                                     : JobState::kCancelled;
-    if (rec.contains("error")) job.error = rec.at("error").as_string();
   } else {
-    throw std::invalid_argument("unknown ledger record kind '" + kind + "'");
+    // Terminal records are named after their state (job_state_name).
+    job.state = JobState::kQueued;
+    for (const JobState s : {JobState::kDone, JobState::kFailed,
+                             JobState::kCancelled, JobState::kExpired}) {
+      if (kind == job_state_name(s)) job.state = s;
+    }
+    if (job.state == JobState::kQueued) {
+      throw persist::PersistError("unknown ledger record kind '" + kind + "'");
+    }
+    job.terminal = true;
+    if (job.state == JobState::kDone) {
+      job.result_path = Log::field<std::string>(rec, "result_path");
+    } else if (rec.contains("error")) {
+      job.error = Log::field<std::string>(rec, "error");
+    }
   }
+  jobs[id] = std::move(job);
+  if (kind == "accepted") accepted.insert(id);
 }
 
 }  // namespace
@@ -104,66 +109,40 @@ std::string JobLedger::result_path(const std::string& dir, std::uint64_t id) {
   return dir + "/job" + std::to_string(id) + ".result.json";
 }
 
-JobLedger::JobLedger(std::string dir)
-    : dir_(std::move(dir)), path_(dir_ + "/ledger.jsonl") {
-  std::string existing;
-  bool have_file = true;
-  try {
-    existing = persist::read_file(path_);
-  } catch (const std::runtime_error&) {
-    have_file = false;  // first start in this directory
-  }
-
-  if (have_file) {
-    // Replay: strict header, then records until the first malformed line
-    // (a torn tail from a crash mid-append -- everything before it counts).
+JobLedger::JobLedger(const std::string& dir) : path_(dir + "/ledger.jsonl") {
+  // No file yet: first start in this directory.
+  if (const auto existing = persist::read_file_if_present(path_)) {
+    // Replay: strict header, then records up to the first torn or bad line
+    // -- everything before it counts.
     std::map<std::uint64_t, LedgerJob> jobs;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos < existing.size()) {
-      const std::size_t eol = existing.find('\n', pos);
-      if (eol == std::string::npos) break;  // torn tail: no newline
-      const std::string line = existing.substr(pos, eol - pos);
-      pos = eol + 1;
-      if (line.empty()) continue;
-      if (first) {
-        first = false;
-        JsonValue header;
-        try {
-          header = JsonValue::parse(line);
-        } catch (const std::invalid_argument&) {
-          throw persist::PersistError("'" + path_ + "' is not a msim job ledger");
-        }
-        if (!header.is_object() || !header.contains("msim_job_ledger")) {
-          throw persist::PersistError("'" + path_ + "' is not a msim job ledger");
-        }
-        const auto version = static_cast<std::uint32_t>(
-            header.at("msim_job_ledger").as_number());
-        if (version > kLedgerFormatVersion) {
-          throw persist::PersistError(
-              "'" + path_ + "' was written by ledger format version " +
-              std::to_string(version) + " but this binary understands up to " +
-              std::to_string(kLedgerFormatVersion) +
-              "; run a newer msim_serve on this --journal-dir, or point this "
-              "one at a fresh directory");
-        }
-        next_id_ = static_cast<std::uint64_t>(header.at("next_id").as_number());
-        continue;
-      }
-      try {
-        const JsonValue rec = JsonValue::parse(line);
-        apply_record(jobs, rec);
-      } catch (const std::invalid_argument&) {
-        break;  // torn or corrupt record: stop here, keep the prefix
-      }
-    }
-    if (first) {
-      throw persist::PersistError("'" + path_ + "' is empty or has no ledger header");
-    }
+    std::set<std::uint64_t> accepted;
+    (void)persist::AppendLog::scan(
+        *existing, path_,
+        [&](std::string_view text) {
+          using Log = persist::AppendLog;
+          const JsonValue header =
+              Log::parse_header(text, "msim_job_ledger", path_, "msim job ledger");
+          const auto version = Log::field<std::uint32_t>(header, "msim_job_ledger");
+          if (version > kLedgerFormatVersion) {
+            throw persist::PersistError(
+                "'" + path_ + "' was written by ledger format version " +
+                std::to_string(version) + " but this binary understands up to " +
+                std::to_string(kLedgerFormatVersion) +
+                "; run a newer msim_serve on this --journal-dir, or point this "
+                "one at a fresh directory");
+          }
+          next_id_ = Log::field<std::uint64_t>(header, "next_id");
+        },
+        [&](std::string_view text) {
+          apply_record(jobs, accepted, text);
+          return true;
+        });
     recovered_.reserve(jobs.size());
     for (auto& [id, job] : jobs) {
       next_id_ = std::max(next_id_, id + 1);
-      recovered_.push_back(std::move(job));
+      // Transitions whose `accepted` never reached the file carry no
+      // request to re-run; the id still stays reserved.
+      if (accepted.count(id) != 0) recovered_.push_back(std::move(job));
     }
   }
 
@@ -175,57 +154,21 @@ JobLedger::JobLedger(std::string dir)
   for (const LedgerJob& job : recovered_) {
     compacted += accepted_line(job);
     if (job.terminal) {
-      switch (job.state) {
-        case JobState::kDone:
-          compacted += transition_line("done", job.id, "result_path",
-                                       job.result_path);
-          break;
-        case JobState::kFailed:
-          compacted += transition_line("failed", job.id, "error", job.error);
-          break;
-        case JobState::kExpired:
-          compacted += transition_line("expired", job.id, "error", job.error);
-          break;
-        default:
-          compacted += transition_line("cancelled", job.id, "error",
-                                       job.error);
-          break;
-      }
+      const bool done = job.state == JobState::kDone;
+      compacted += transition_line(job_state_name(job.state), job.id,
+                                   done ? "result_path" : "error",
+                                   done ? job.result_path : job.error);
     }
     // `running` records are deliberately dropped: a non-terminal job is
     // re-enqueued by recovery, and its journal (not the ledger) knows which
     // sweep cells finished.
   }
-  persist::write_text_atomic(path_, compacted);
-
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    throw std::runtime_error("cannot open job ledger '" + path_ +
-                             "' for appending: " + std::strerror(errno));
-  }
-}
-
-JobLedger::~JobLedger() {
-  if (fd_ >= 0) (void)::close(fd_);
+  log_.emplace(persist::AppendLog::create(path_, compacted, kSyncEvery));
 }
 
 void JobLedger::append_line(const std::string& line) {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::size_t written = 0;
-  while (written < line.size()) {
-    const ::ssize_t n =
-        ::write(fd_, line.data() + written, line.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("ledger append failed for '" + path_ +
-                               "': " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd_) != 0) {
-    throw std::runtime_error("ledger fsync failed for '" + path_ +
-                             "': " + std::strerror(errno));
-  }
+  log_->append(line);
 }
 
 void JobLedger::record_accepted(const Job& job) {

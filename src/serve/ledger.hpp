@@ -5,10 +5,10 @@
 // ever accepted -- the full request (config knobs, priority, idempotency
 // key, TTL) plus each lifecycle transition (accepted -> running ->
 // done/failed/cancelled/expired, with the result file for done jobs).
-// Every append is one whole line followed by fsync, the same convention
-// persist::SweepJournal uses, so a kill -9 can at worst tear the final
-// line; replay stops at the first malformed line and the constructor
-// truncates the torn tail before reopening for append.
+// Every append is one whole line followed by fsync (persist::AppendLog,
+// under persist::SweepJournal too), so a kill -9 can at worst tear the
+// final line; replay keeps the valid prefix -- it stops at the first torn
+// or malformed line, and a record that fails to decode changes no job.
 //
 // On startup the daemon replays the ledger (JobLedger::recovered()):
 // terminal jobs are restored verbatim -- a done job's result file is
@@ -23,10 +23,12 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "persist/append_log.hpp"
 #include "serve/queue.hpp"
 
 namespace msim::serve {
@@ -56,8 +58,7 @@ class JobLedger {
   /// Opens (replaying and compacting) or creates `dir`/ledger.jsonl.
   /// Throws PersistError when the file is not a job ledger or was written
   /// by a newer format version, std::runtime_error on I/O failure.
-  explicit JobLedger(std::string dir);
-  ~JobLedger();
+  explicit JobLedger(const std::string& dir);
   JobLedger(const JobLedger&) = delete;
   JobLedger& operator=(const JobLedger&) = delete;
 
@@ -90,14 +91,16 @@ class JobLedger {
                                                std::uint64_t id);
 
  private:
+  /// Ledger appends are fsynced one line at a time.
+  static constexpr std::uint64_t kSyncEvery = 1;
+
   void append_line(const std::string& line);
 
-  std::string dir_;
   std::string path_;
   std::uint64_t next_id_ = 1;
   std::vector<LedgerJob> recovered_;
   std::mutex mu_;
-  int fd_ = -1;
+  std::optional<persist::AppendLog> log_;  // set once replay has compacted
 };
 
 }  // namespace msim::serve

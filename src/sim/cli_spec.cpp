@@ -73,7 +73,8 @@ Robustness:
   verify=1              cycle-level invariant checking         [off]
   hang_cycles=N         abort after N commit-free cycles (0=off) [500000]
   fault_intensity=P  fault_seed=S  fault_index=I   fault injection
-  isolate=0|1  retries=N                    sweep crash isolation
+  isolate=0|1  retries=N   sweep crash isolation; worker deaths retried per
+                        cell (isolation=process)
   cell_timeout_ms=N     isolation=process: wall-clock budget per sweep
                         cell; a worker exceeding it is SIGKILLed and the
                         cell retried like any other worker death (0=off,

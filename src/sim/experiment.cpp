@@ -20,31 +20,31 @@
 
 namespace msim::sim {
 
-double BaselineCache::alone_ipc(std::string_view benchmark, std::uint32_t iq_entries) {
-  const auto key = std::make_pair(std::string(benchmark), iq_entries);
+BaselineCache::BaselineCache(RunConfig base, const std::vector<BaselineEntry>& known)
+    : base_(std::move(base)) {
+  for (const BaselineEntry& e : known) done_[{e.benchmark, e.iq_entries}] = e.ipc;
+}
 
-  std::shared_ptr<Slot> slot;
-  bool owner = false;
+double BaselineCache::alone_ipc(std::string_view benchmark, std::uint32_t iq_entries) {
+  const Key key(std::string(benchmark), iq_entries);
+  std::optional<std::promise<double>> promise;  // set when this thread simulates
+  std::shared_future<double> flight;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (const auto it = done_.find(key); it != done_.end()) return it->second;
-    auto& entry = slots_[key];
-    if (!entry) {
-      entry = std::make_shared<Slot>();
-      owner = true;
-    }
-    slot = entry;
+    const auto [it, inserted] = in_flight_.try_emplace(key);
+    if (inserted) it->second = promise.emplace().get_future().share();
+    flight = it->second;
   }
 
-  if (!owner) {
-    // Another thread is simulating this key; block on its slot only.
-    std::unique_lock<std::mutex> lock(slot->m);
-    slot->cv.wait(lock, [&] { return slot->ready || slot->failed; });
-    if (slot->failed) {
+  if (!promise) {
+    // Another thread is simulating this key; block on its flight only.
+    try {
+      return flight.get();
+    } catch (const std::exception& e) {
       throw std::runtime_error("baseline simulation failed for '" + key.first +
-                               "': " + slot->error);
+                               "': " + e.what());
     }
-    return slot->ipc;
   }
 
   try {
@@ -58,33 +58,17 @@ double BaselineCache::alone_ipc(std::string_view benchmark, std::uint32_t iq_ent
     {
       const std::lock_guard<std::mutex> lock(mu_);
       done_.emplace(key, result.throughput_ipc);
+      in_flight_.erase(key);
       ++computations_;
     }
-    {
-      const std::lock_guard<std::mutex> lock(slot->m);
-      slot->ipc = result.throughput_ipc;
-      slot->ready = true;
-    }
-    slot->cv.notify_all();
+    promise->set_value(result.throughput_ipc);
     return result.throughput_ipc;
   } catch (...) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      slots_.erase(key);  // a later request may retry
+      in_flight_.erase(key);  // a later request may retry
     }
-    {
-      const std::lock_guard<std::mutex> lock(slot->m);
-      slot->failed = true;
-      // Chain the underlying reason into waiters' rethrown error text.
-      try {
-        throw;
-      } catch (const std::exception& e) {
-        slot->error = e.what();
-      } catch (...) {
-        slot->error = "unknown (non-standard exception)";
-      }
-    }
-    slot->cv.notify_all();
+    promise->set_exception(std::current_exception());  // waiters rethrow it
     throw;
   }
 }
@@ -324,10 +308,25 @@ SweepCell aggregate_cell(core::SchedulerKind kind, std::uint32_t iq,
   return cell;
 }
 
-std::string describe(core::SchedulerKind kind, std::uint32_t iq,
-                     std::string_view mix_name) {
-  return std::string(core::scheduler_kind_name(kind)) + " iq=" +
-         std::to_string(iq) + " " + std::string(mix_name);
+/// `config` for a forked worker: no progress bus (its sinks belong to the
+/// parent), no signal watching (the supervisor owns shutdown) and no cancel
+/// flag (a forked copy is frozen; the supervisor polls it and kills).
+RunConfig detached_for_fork(RunConfig config) {
+  config.progress_bus = nullptr;
+  config.watch_signals = false;
+  config.cancel = nullptr;
+  return config;
+}
+
+/// The worker shards of journal `path` on disk: `<path>.shard0`, `.shard1`,
+/// ... up to the first missing one.
+std::vector<std::string> shards_of(const std::string& path) {
+  std::vector<std::string> shards;
+  for (unsigned k = 0;
+       std::filesystem::exists(robust::SweepSupervisor::shard_path(path, k)); ++k) {
+    shards.push_back(robust::SweepSupervisor::shard_path(path, k));
+  }
+  return shards;
 }
 
 }  // namespace
@@ -335,22 +334,17 @@ std::string describe(core::SchedulerKind kind, std::uint32_t iq,
 std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& baselines) {
   MSIM_CHECK(!request.iq_sizes.empty());
   MSIM_CHECK(request.jobs >= 1);
-  if (request.isolation == SweepIsolation::kProcess) {
-    if (!request.isolate_failures) {
-      throw std::invalid_argument(
-          "isolation=process requires isolate (the supervisor degrades worker "
-          "deaths into per-cell failures, which only partial results can "
-          "report)");
-    }
-  } else {
-    if (request.workers != 0) {
-      throw std::invalid_argument("workers= requires isolation=process");
-    }
-    if (request.cell_timeout_ms != 0) {
-      throw std::invalid_argument("cell_timeout_ms= requires isolation=process");
-    }
-    if (!request.chaos.empty()) {
-      throw std::invalid_argument("chaos= requires isolation=process");
+  const bool process = request.isolation == SweepIsolation::kProcess;
+  if (process && !request.isolate_failures) {
+    throw std::invalid_argument(
+        "isolation=process requires isolate (the supervisor degrades worker "
+        "deaths into per-cell failures, which only partial results can report)");
+  }
+  for (const auto& [set, knob] : {std::pair{request.workers != 0, "workers="},
+                                  {request.cell_timeout_ms != 0, "cell_timeout_ms="},
+                                  {!request.chaos.empty(), "chaos="}}) {
+    if (set && !process) {
+      throw std::invalid_argument(std::string(knob) + " requires isolation=process");
     }
   }
   const auto mixes = trace::mixes_for(request.thread_count);
@@ -381,38 +375,28 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
       }
     }
   }
+  auto key_of = [&](std::size_t i) {  // the cell's journal key and label
+    return std::string(core::scheduler_kind_name(grid[i].kind)) + " iq=" +
+           std::to_string(grid[i].iq) + " " + std::string(grid[i].mix->name);
+  };
+
+  robust::ChaosPlan chaos = robust::ChaosPlan::parse(request.chaos, grid.size());
 
   // Crash isolation: while the grid executes, MSIM_CHECK failures throw
   // msim::CheckError instead of aborting the process.  The handler slot is
-  // process-wide, so it is installed once around the whole grid (including
-  // the serial path), never per worker.
+  // process-wide (and inherited by forked workers), so it is installed once
+  // around the whole grid, never per worker.
   std::optional<ScopedCheckThrow> check_guard;
   if (request.isolate_failures) check_guard.emplace();
 
   const std::uint64_t fingerprint = sweep_fingerprint(request);
-
-  // Crash recovery (thread backend): the journal replays completed cells
-  // (resume) and durably records each newly completed cell before the sweep
-  // moves on.  The process backend manages per-worker journal shards
-  // instead (below).
-  std::optional<persist::SweepJournal> journal;
-  if (request.isolation == SweepIsolation::kThread &&
-      !request.journal_path.empty()) {
-    journal.emplace(request.journal_path, fingerprint, request.resume);
-    if (journal->loaded_entries() != 0 && request.progress) {
-      request.progress("journal: replaying " +
-                       std::to_string(journal->loaded_entries()) +
-                       " completed cell(s)");
-    }
-  }
-  std::mutex journal_mu;
+  const bool journaling = !request.journal_path.empty();
 
   // Structured progress: sweep/cell milestones with a completion counter.
   // Sinks see the true completion order (nondeterministic under jobs > 1);
   // the simulated results stay bit-identical regardless.
   obs::ProgressBus* bus = request.progress_bus;
   const std::string sweep_label = std::to_string(request.thread_count) + "T sweep";
-  std::atomic<std::uint64_t> done{0};
   if (bus) {
     obs::ProgressEvent ev(obs::ProgressKind::kSweepStart);
     ev.label = sweep_label;
@@ -420,318 +404,217 @@ std::vector<SweepCell> run_sweep(const SweepRequest& request, BaselineCache& bas
     bus->publish(ev);
   }
 
-  auto run_cell = [&](const GridPoint& p) -> MixResult {
-    if (!request.isolate_failures) {
-      return run_mix(*p.mix, p.kind, p.iq, request.base, baselines);
-    }
-    std::string last_error = "unknown failure";
-    for (unsigned attempt = 1; attempt <= request.retries + 1; ++attempt) {
-      try {
-        MixResult r = run_mix(*p.mix, p.kind, p.iq, request.base, baselines);
-        r.attempts = attempt;
-        return r;
-      } catch (const persist::Interrupted&) {
-        // An interrupt is a request to stop, not a cell failure: never
-        // retried, never recorded — the cell reruns on resume.
-        throw;
-      } catch (const persist::Cancelled&) {
-        // Same contract for per-job cancellation (the serve daemon): the
-        // sweep stops after the journal recorded every completed cell.
-        throw;
-      } catch (const std::exception& e) {
-        last_error = e.what();
-        if (bus && attempt <= request.retries) {
-          obs::ProgressEvent ev(obs::ProgressKind::kCellRetry);
-          ev.label = describe(p.kind, p.iq, p.mix->name);
-          ev.ok = false;
-          ev.detail = last_error;
-          bus->publish(ev);
-        }
-      }
-    }
-    MixResult failed;
-    failed.mix_name = p.mix->name;
-    failed.ok = false;
-    failed.error = last_error;
-    failed.attempts = request.retries + 1;
-    return failed;
-  };
-
-  auto run_or_replay_cell = [&](const GridPoint& p) -> MixResult {
-    const std::string key = describe(p.kind, p.iq, p.mix->name);
-    auto finish = [&](const MixResult& r, std::string_view how) {
-      const std::uint64_t completed = done.fetch_add(1) + 1;
-      if (bus) {
-        obs::ProgressEvent ev(obs::ProgressKind::kCellFinish);
-        ev.label = key;
-        ev.done = completed;
-        ev.total = grid.size();
-        ev.ok = r.ok;
-        ev.detail = std::string(how);
-        bus->publish(ev);
-      }
-    };
-    if (journal) {
-      // find() only reads entries loaded at construction; appends never
-      // mutate that map, so no lock is needed here.
-      if (const std::vector<std::uint8_t>* payload = journal->find(key)) {
-        MixResult m = decode_mix_result(*payload);
-        if (m.mix_name != p.mix->name) {
-          throw persist::PersistError(
-              "journal entry '" + key + "' replays mix '" + m.mix_name +
-              "'; the journal does not match this sweep (docs/CHECKPOINT.md)");
-        }
-        finish(m, "journal replay");
-        return m;
-      }
-    }
-    if (bus) {
-      obs::ProgressEvent ev(obs::ProgressKind::kCellStart);
-      ev.label = key;
+  // Every finished cell lands here: its result, plus (when journaling) the
+  // payload the merged journal will hold for it.
+  std::vector<MixResult> results(grid.size());
+  std::vector<std::vector<std::uint8_t>> payloads(grid.size());
+  std::atomic<std::uint64_t> done{0};
+  std::mutex progress_mu;
+  enum class From { kJournal, kThread, kWorker };
+  auto finish = [&](std::size_t i, MixResult r, std::vector<std::uint8_t> payload,
+                    From from) {
+    const std::uint64_t completed = done.fetch_add(1) + 1;
+    if (bus && from != From::kWorker) {  // the supervisor publishes its own
+      obs::ProgressEvent ev(obs::ProgressKind::kCellFinish);
+      ev.label = key_of(i);
+      ev.done = completed;
+      ev.total = grid.size();
+      ev.ok = r.ok;
+      if (from == From::kJournal) ev.detail = "journal replay";
       bus->publish(ev);
     }
-    std::optional<obs::ScopeTimer> cell_timer;
-    if (request.timers) cell_timer.emplace(*request.timers, "cell:" + key);
-    MixResult r = run_cell(p);
-    cell_timer.reset();
-    // Failed cells are not recorded: a resume retries them from scratch.
-    if (journal && r.ok) {
-      const std::vector<std::uint8_t> payload = encode_mix_result(r);
-      const std::lock_guard<std::mutex> lock(journal_mu);
-      journal->append(key, payload);
+    if (request.progress && from != From::kJournal) {
+      const std::lock_guard<std::mutex> lock(progress_mu);
+      request.progress(key_of(i) + (r.ok ? "" : " FAILED"));
     }
-    finish(r, "");
-    return r;
+    if (journaling && r.ok) payloads[i] = std::move(payload);
+    results[i] = std::move(r);
+  };
+  auto failed = [&](std::size_t i, std::string error, unsigned attempts) {
+    MixResult m;
+    m.mix_name = grid[i].mix->name;
+    m.ok = false;
+    m.error = std::move(error);
+    m.attempts = attempts;
+    return m;
   };
 
-  std::vector<MixResult> results(grid.size());
-  if (request.isolation == SweepIsolation::kProcess) {
-    const unsigned workers = request.workers == 0 ? request.jobs : request.workers;
-    robust::ChaosPlan chaos;
-    if (!request.chaos.empty()) {
-      chaos = robust::ChaosPlan::parse(request.chaos);
-      for (const robust::WorkerFault& fault : chaos.faults) {
-        if (fault.cell >= grid.size()) {
-          throw std::invalid_argument(
-              "chaos: cell " + std::to_string(fault.cell) +
-              " is outside this sweep's grid of " + std::to_string(grid.size()) +
-              " cells");
-        }
-      }
-    }
-
-    auto key_of = [&](std::size_t i) {
-      return describe(grid[i].kind, grid[i].iq, grid[i].mix->name);
-    };
-
-    // Completed work = the merged journal plus any worker shards that
-    // survived a killed supervisor.  Shards are probed by existence, never
-    // opened for appending: slot files must not spring into being here.
+  // ---- 1. Replay: with `resume`, the main journal united with any worker
+  // shards a killed sweep left behind; without it, stale files are removed.
+  std::vector<std::size_t> pending;
+  {
+    using persist::SweepJournal;
     std::map<std::string, std::vector<std::uint8_t>> completed;
-    if (!request.journal_path.empty()) {
-      if (request.resume) {
-        completed =
-            persist::SweepJournal::read_completed(request.journal_path, fingerprint);
-        for (unsigned k = 0;; ++k) {
-          const std::string shard =
-              robust::SweepSupervisor::shard_path(request.journal_path, k);
-          if (!std::filesystem::exists(shard)) break;
-          for (auto& [key, payload] :
-               persist::SweepJournal::read_completed(shard, fingerprint)) {
-            completed.emplace(key, std::move(payload));
-          }
-        }
-      } else {
-        // A fresh sweep must not replay stale state from a previous one.
-        (void)std::filesystem::remove(request.journal_path);
-        for (unsigned k = 0;; ++k) {
-          if (!std::filesystem::remove(
-                  robust::SweepSupervisor::shard_path(request.journal_path, k))) {
-            break;
-          }
+    if (journaling && request.resume) {
+      completed = SweepJournal::read_completed(request.journal_path, fingerprint);
+      for (const std::string& shard : shards_of(request.journal_path)) {
+        for (auto& [key, payload] : SweepJournal::read_completed(shard, fingerprint)) {
+          completed.emplace(key, std::move(payload));
         }
       }
+    } else if (journaling) {
+      (void)std::filesystem::remove(request.journal_path);
+      for (const std::string& shard : shards_of(request.journal_path)) {
+        (void)std::filesystem::remove(shard);
+      }
     }
-
-    std::vector<std::size_t> completed_indices;
     for (std::size_t i = 0; i < grid.size(); ++i) {
       const auto it = completed.find(key_of(i));
-      if (it == completed.end()) continue;
+      if (it == completed.end()) {
+        pending.push_back(i);
+        continue;
+      }
       MixResult m = decode_mix_result(it->second);
       if (m.mix_name != grid[i].mix->name) {
         throw persist::PersistError(
             "journal entry '" + it->first + "' replays mix '" + m.mix_name +
             "'; the journal does not match this sweep (docs/CHECKPOINT.md)");
       }
-      results[i] = std::move(m);
-      completed_indices.push_back(i);
-      const std::uint64_t completed_count = done.fetch_add(1) + 1;
-      if (bus) {
-        obs::ProgressEvent ev(obs::ProgressKind::kCellFinish);
-        ev.label = it->first;
-        ev.done = completed_count;
-        ev.total = grid.size();
-        ev.detail = "journal replay";
-        bus->publish(ev);
-      }
+      finish(i, std::move(m), std::move(it->second), From::kJournal);
     }
-    if (!completed_indices.empty() && request.progress) {
-      request.progress("journal: replaying " +
-                       std::to_string(completed_indices.size()) +
-                       " completed cell(s)");
+    if (const std::size_t n = grid.size() - pending.size(); n != 0 && request.progress) {
+      request.progress("journal: replaying " + std::to_string(n) + " completed cell(s)");
     }
+  }
 
-    // Workers inherit this config at fork: no progress bus (its sinks and
-    // streams belong to the parent) and no cooperative signal handling (the
-    // supervisor owns shutdown; forked children reset to SIG_DFL).
-    RunConfig worker_base = request.base;
-    worker_base.progress_bus = nullptr;
-    worker_base.watch_signals = false;
-    // The cancel flag lives in the parent's memory: a forked worker's copy
-    // is frozen at fork time, so cancellation is the supervisor's job (it
-    // polls the flag and SIGKILLs the workers).
-    worker_base.cancel = nullptr;
+  // ---- 2. Execute the pending cells on a ThreadPool thread or a forked
+  // worker under robust::SweepSupervisor.  Neither re-runs a cell that
+  // failed in the simulator (deterministic: it would fail the same way);
+  // `retries` bounds worker deaths only.
+  if (process) {
+    // A forked worker must never touch `baselines`: another thread may hold
+    // one of its single-flight slots (or its mutex) at the fork, and that
+    // owner does not exist in the child.  Workers get a private cache seeded
+    // before the fork (baselines are deterministic: same bytes either way).
+    const RunConfig worker_base = detached_for_fork(request.base);
+    const RunConfig baseline_base = detached_for_fork(baselines.base());
+    const std::vector<BaselineEntry> known = baselines.snapshot();
+    std::optional<BaselineCache> worker_baselines;  // only ever set in a worker
     auto cell_fn = [&](std::size_t i) -> robust::CellOutcome {
+      if (!worker_baselines) worker_baselines.emplace(baseline_base, known);
       const GridPoint& p = grid[i];
-      MixResult r;
-      std::string last_error = "unknown failure";
-      bool finished = false;
-      for (unsigned attempt = 1; attempt <= request.retries + 1 && !finished;
-           ++attempt) {
-        try {
-          r = run_mix(*p.mix, p.kind, p.iq, worker_base, baselines);
-          r.attempts = attempt;
-          finished = true;
-        } catch (const std::exception& e) {
-          last_error = e.what();
-        }
-      }
-      if (!finished) {
-        r = MixResult{};
-        r.mix_name = p.mix->name;
-        r.ok = false;
-        r.error = last_error;
-        r.attempts = request.retries + 1;
-      }
       robust::CellOutcome out;
-      out.ok = r.ok;
-      out.error = r.error;
-      out.attempts = r.attempts;
-      out.payload = encode_mix_result(r);
+      out.payload = encode_mix_result(
+          run_mix(*p.mix, p.kind, p.iq, worker_base, *worker_baselines));
       return out;
     };
 
     robust::SupervisorConfig sc;
     sc.total_cells = grid.size();
-    sc.workers = workers;
+    sc.workers = request.workers == 0 ? request.jobs : request.workers;
     sc.retries = request.retries;
     sc.cell_timeout_ms = request.cell_timeout_ms;
     sc.tuning.heartbeat_timeout_ms = request.worker_heartbeat_timeout_ms;
     sc.chaos = std::move(chaos);
     sc.journal_path = request.journal_path;
     sc.journal_fingerprint = fingerprint;
-    sc.completed = completed_indices;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (!results[i].mix_name.empty()) sc.completed.push_back(i);  // replayed
+    }
     sc.watch_signals = request.base.watch_signals;
     sc.cancel = request.base.cancel;
-    sc.progress_bus = bus;
+    sc.progress_bus = bus;  // the supervisor publishes cell events itself
     sc.cell_label = key_of;
     robust::SweepSupervisor supervisor(std::move(sc));
     robust::SupervisorReport report = supervisor.run(cell_fn);
 
-    for (auto& [index, outcome] : report.outcomes) {
-      if (!outcome.payload.empty()) {
-        results[index] = decode_mix_result(outcome.payload);
-      } else {
-        results[index].mix_name = grid[index].mix->name;
-        results[index].ok = false;
-        results[index].error = outcome.error;
-        results[index].attempts = outcome.attempts;
-      }
+    for (auto& [i, outcome] : report.outcomes) {
+      MixResult m = outcome.ok ? decode_mix_result(outcome.payload)
+                               : failed(i, outcome.error, outcome.attempts);
+      finish(i, std::move(m), std::move(outcome.payload), From::kWorker);
     }
-    for (const robust::SupervisorFailure& failure : report.process_failures) {
-      MixResult m;
-      m.mix_name = grid[failure.cell].mix->name;
-      m.ok = false;
-      m.error = failure.error;
-      m.attempts = failure.attempts;
-      m.diag = failure.diag;
-      results[failure.cell] = std::move(m);
-    }
-    done.store(completed_indices.size() + report.outcomes.size() +
-               report.process_failures.size());
-
-    // Merge the shards into the main journal in fixed grid order, reusing
-    // the exact payload bytes the workers journaled, then retire the
-    // shards.  A crash before the merge leaves the shards in place; a
-    // resume unions them right back in.
-    if (!request.journal_path.empty()) {
-      std::vector<std::pair<std::string, std::vector<std::uint8_t>>> merged;
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (!results[i].ok) continue;
-        const std::string key = key_of(i);
-        if (const auto cit = completed.find(key); cit != completed.end()) {
-          merged.emplace_back(key, std::move(cit->second));
-        } else if (const auto oit = report.outcomes.find(i);
-                   oit != report.outcomes.end() && oit->second.ok) {
-          merged.emplace_back(key, std::move(oit->second.payload));
-        }
-      }
-      persist::SweepJournal::write_merged(request.journal_path, fingerprint,
-                                          merged);
-      for (unsigned k = 0;; ++k) {
-        if (!std::filesystem::remove(
-                robust::SweepSupervisor::shard_path(request.journal_path, k))) {
-          break;
-        }
-      }
-    }
-  } else if (request.jobs == 1) {
-    // Serial path: today's behavior, including progress notes before each run.
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const GridPoint& p = grid[i];
-      if (request.progress) {
-        request.progress(describe(p.kind, p.iq, p.mix->name));
-      }
-      results[i] = run_or_replay_cell(p);
+    for (const robust::SupervisorFailure& f : report.process_failures) {
+      MixResult m = failed(f.cell, f.error, f.attempts);
+      m.diag = f.diag;
+      finish(f.cell, std::move(m), {}, From::kWorker);
     }
   } else {
-    ThreadPool pool(request.jobs);
-    std::mutex progress_mu;
-    std::vector<std::future<void>> pending;
-    pending.reserve(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      pending.push_back(pool.submit([&, i] {
-        const GridPoint& p = grid[i];
-        results[i] = run_or_replay_cell(p);
-        if (request.progress) {
-          const std::lock_guard<std::mutex> lock(progress_mu);
-          request.progress(describe(p.kind, p.iq, p.mix->name) +
-                           (results[i].ok ? "" : " FAILED"));
+    // Cells are journaled as they finish: a killed sweep loses only those in flight.
+    std::optional<persist::SweepJournal> journal;
+    if (journaling) journal.emplace(request.journal_path, fingerprint, /*resume=*/true);
+    std::mutex journal_mu;
+    // Set once a cell throws: cells not yet started are skipped, so an
+    // interrupt or an un-isolated failure stops the sweep promptly.
+    std::atomic<bool> stop{false};
+
+    auto run_cell = [&](std::size_t i) {
+      if (stop.load()) return;
+      const GridPoint& p = grid[i];
+      const std::string key = key_of(i);
+      if (bus) {
+        obs::ProgressEvent ev(obs::ProgressKind::kCellStart);
+        ev.label = key;
+        bus->publish(ev);
+      }
+      MixResult r;
+      try {
+        std::optional<obs::ScopeTimer> cell_timer;
+        if (request.timers) cell_timer.emplace(*request.timers, "cell:" + key);
+        r = run_mix(*p.mix, p.kind, p.iq, request.base, baselines);
+      } catch (const std::exception& e) {
+        // An interrupt (or the serve daemon's per-job cancel) is a request
+        // to stop, not a cell failure: never recorded, the cell reruns on
+        // resume.  Without isolation, any failure stops the sweep.
+        if (dynamic_cast<const persist::Interrupted*>(&e) != nullptr ||
+            dynamic_cast<const persist::Cancelled*>(&e) != nullptr ||
+            !request.isolate_failures) {
+          stop = true;
+          throw;
         }
-      }));
+        r = failed(i, e.what(), 1);
+      }
+      // Failed cells are not recorded: a resume retries them from scratch.
+      std::vector<std::uint8_t> payload;
+      if (journal && r.ok) {
+        payload = encode_mix_result(r);
+        const std::lock_guard<std::mutex> lock(journal_mu);
+        journal->append(key, payload);
+      }
+      finish(i, std::move(r), std::move(payload), From::kThread);
+    };
+
+    ThreadPool pool(request.jobs);
+    std::vector<std::future<void>> futures;
+    futures.reserve(pending.size());
+    for (const std::size_t i : pending) {
+      futures.push_back(pool.submit([&run_cell, i] { run_cell(i); }));
     }
-    // Drain every worker before rethrowing anything, so completed cells all
-    // reach the journal; an interrupt outranks other failures because it is
-    // the reason the caller is exiting.
-    std::exception_ptr interrupted;
-    std::exception_ptr cancelled;
-    std::exception_ptr first_error;
-    for (std::future<void>& f : pending) {
+    // Drain every task before rethrowing anything, so completed cells all
+    // reach the journal.  An interrupt outranks a cancel outranks any other
+    // failure: it is the reason the caller is exiting.
+    std::exception_ptr first[3];
+    for (std::future<void>& f : futures) {
       try {
         f.get();
       } catch (const persist::Interrupted&) {
-        if (!interrupted) interrupted = std::current_exception();
+        if (!first[0]) first[0] = std::current_exception();
       } catch (const persist::Cancelled&) {
-        if (!cancelled) cancelled = std::current_exception();
+        if (!first[1]) first[1] = std::current_exception();
       } catch (...) {
-        if (!first_error) first_error = std::current_exception();
+        if (!first[2]) first[2] = std::current_exception();
       }
     }
-    if (interrupted) std::rethrow_exception(interrupted);
-    if (cancelled) std::rethrow_exception(cancelled);
-    if (first_error) std::rethrow_exception(first_error);
+    for (const std::exception_ptr& e : first) {
+      if (e) std::rethrow_exception(e);
+    }
   }
   check_guard.reset();
+
+  // ---- 3. Merge.  The main journal is rewritten with every successful
+  // cell in fixed grid order -- replayed cells keep their exact journaled
+  // bytes -- and the worker shards are retired.  A crash before this point
+  // leaves the journal and shards in place; a resume unions them back in.
+  if (journaling) {
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>> merged;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      if (results[i].ok) merged.emplace_back(key_of(i), std::move(payloads[i]));
+    }
+    persist::SweepJournal::write_merged(request.journal_path, fingerprint, merged);
+    for (const std::string& shard : shards_of(request.journal_path)) {
+      (void)std::filesystem::remove(shard);
+    }
+  }
+
   if (bus) {
     obs::ProgressEvent ev(obs::ProgressKind::kSweepFinish);
     ev.label = sweep_label;

@@ -12,11 +12,10 @@
 // completion order.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -49,6 +48,12 @@ struct BaselineEntry {
 class BaselineCache {
  public:
   explicit BaselineCache(RunConfig base) : base_(std::move(base)) {}
+  /// A cache pre-filled with `known` (another cache's snapshot()); those
+  /// keys never simulate and never count as computations().
+  BaselineCache(RunConfig base, const std::vector<BaselineEntry>& known);
+
+  /// The configuration every baseline run starts from.
+  [[nodiscard]] const RunConfig& base() const noexcept { return base_; }
 
   /// IPC of `benchmark` running alone (traditional scheduler, `iq_entries`).
   double alone_ipc(std::string_view benchmark, std::uint32_t iq_entries);
@@ -66,19 +71,11 @@ class BaselineCache {
  private:
   using Key = std::pair<std::string, std::uint32_t>;
 
-  /// Single-flight rendezvous for one key's in-progress simulation.
-  struct Slot {
-    std::mutex m;
-    std::condition_variable cv;
-    bool ready = false;   ///< guarded by m
-    bool failed = false;  ///< guarded by m
-    double ipc = 0.0;     ///< written once before ready=true
-    std::string error;    ///< the owner's failure message (guarded by m)
-  };
-
   RunConfig base_;
-  mutable std::mutex mu_;  ///< guards slots_, done_, computations_
-  std::map<Key, std::shared_ptr<Slot>> slots_;
+  mutable std::mutex mu_;  ///< guards in_flight_, done_, computations_
+  /// Single flight: the simulation under way for a key, shared by every
+  /// thread that asks for that key meanwhile.
+  std::map<Key, std::shared_future<double>> in_flight_;
   std::map<Key, double> done_;
   std::uint64_t computations_ = 0;
 };
@@ -94,7 +91,8 @@ struct MixResult {
   /// the numeric fields above stay zero.
   bool ok = true;
   std::string error;
-  unsigned attempts = 1;  ///< simulation attempts consumed (retries included)
+  /// 1, or the worker deaths charged to the cell (isolation=process).
+  unsigned attempts = 1;
   /// JSON diagnostic bundle for process-level failures (worker deaths under
   /// isolation=process): which worker slot, how it died, how many deaths.
   /// Empty for in-process failures and successful cells.
@@ -143,9 +141,9 @@ struct SweepRequest {
   std::vector<core::SchedulerKind> kinds;
   std::vector<std::uint32_t> iq_sizes;
   RunConfig base;  ///< benchmarks/kind/iq fields are ignored
-  /// Worker threads to fan the grid out across.  1 = serial (runs on the
-  /// calling thread); 0 is invalid.  Results are bit-identical at any
-  /// value.
+  /// Worker threads to fan the grid out across (a ThreadPool of this
+  /// size; 1 runs the cells one at a time).  0 is invalid.  Results are
+  /// bit-identical at any value.
   unsigned jobs = 1;
   /// Execution backend.  Successful cells are bit-identical across
   /// backends and across any jobs/workers count.
@@ -158,8 +156,8 @@ struct SweepRequest {
   /// Wall-clock budget per cell under isolation=process (0 = unlimited):
   /// complements the deterministic in-simulation `hang_cycles` watchdog
   /// with a host-time bound that catches hangs outside simulated code.
-  /// The offending worker is SIGKILLed and the cell retried/failed like
-  /// any other worker death.
+  /// The offending worker is SIGKILLed and the death charged to the cell
+  /// like any other worker death (see `retries`).
   std::uint64_t cell_timeout_ms = 0;
   /// Chaos fault-injection spec for worker processes, e.g.
   /// "kill@5,hang@13,segv@2!" (robust::ChaosPlan::parse).  Only valid with
@@ -168,33 +166,41 @@ struct SweepRequest {
   /// Supervisor liveness bound: a worker silent this long is presumed hung
   /// and SIGKILLed (isolation=process).
   std::uint64_t worker_heartbeat_timeout_ms = 2000;
-  /// Optional progress sink (benches report to stderr).  With jobs > 1 it
-  /// is invoked under a lock, one whole message at a time, as cells
-  /// *finish* (completion order is nondeterministic).
+  /// Optional progress sink (benches report to stderr).  Invoked under a
+  /// lock with one message per executed cell as it *finishes* ("FAILED"
+  /// appended on failure), at every `jobs` value; the process backend
+  /// reports once the supervisor hands its cells back.  A resume adds one
+  /// "journal: replaying N completed cell(s)" message.
   std::function<void(std::string_view)> progress;
   /// Crash isolation: catch per-cell failures (invariant violations, hang
-  /// watchdog, exceptions), retry each failed cell `retries` times, and
-  /// return partial results with the failures recorded per mix — one bad
-  /// cell degrades the sweep instead of destroying it.  MSIM_CHECK
-  /// failures inside isolated cells surface as msim::CheckError.
-  /// Successful cells are bit-identical with isolation on or off.
+  /// watchdog, exceptions) and return partial results with the failures
+  /// recorded per mix — one bad cell degrades the sweep instead of
+  /// destroying it.  A failed cell is not re-run: the simulation is
+  /// deterministic, so it would fail the same way.  MSIM_CHECK failures
+  /// inside isolated cells surface as msim::CheckError.  Successful cells
+  /// are bit-identical with isolation on or off.
   bool isolate_failures = true;
+  /// isolation=process only: worker deaths (crash, kill, hang,
+  /// cell_timeout_ms) one cell may be charged and still be retried in a
+  /// respawned worker.  Never re-runs a cell that failed in the simulator.
   unsigned retries = 1;
   /// Crash recovery (src/persist/, docs/CHECKPOINT.md): write-ahead journal
   /// of completed cells ("" = off).  Every finished (kind, iq, mix) cell is
   /// appended durably before the sweep moves on, so a killed sweep loses at
-  /// most the cells in flight.  Under isolation=process every worker
-  /// appends to its own shard `<path>.shard<slot>`; the shards are merged
-  /// into `<path>` in fixed grid order when the sweep finishes, and a
-  /// resume replays the union of the merged journal and any surviving
-  /// shards — byte-identical even after `kill -9` of the supervisor.
+  /// most the cells in flight.  The thread backend appends to `<path>`;
+  /// under isolation=process every worker appends to its own shard
+  /// `<path>.shard<slot>`.  When the sweep finishes, `<path>` is rewritten
+  /// with every successful cell in fixed grid order and the shards are
+  /// removed, so the final journal is byte-identical across backends and
+  /// job counts.  A resume replays the union of `<path>` and any surviving
+  /// shards — byte-identical even after `kill -9` of the sweep process.
   std::string journal_path;
   /// Resume from an existing journal at journal_path: completed cells are
   /// replayed from the journal instead of re-simulated (bit-identical, since
   /// the journal stores the full MixResult), the rest run normally and keep
   /// appending.  The journal's fingerprint must match this request
   /// (persist::PersistError otherwise); a missing file just runs the whole
-  /// sweep.  Without `resume`, any existing journal is overwritten.
+  /// sweep.  Without `resume`, any existing journal and shards are removed.
   bool resume = false;
   /// Progress event bus (obs/progress.hpp): sweep start/finish, per-cell
   /// start/retry/finish with done/total counts.  Not owned, may be nullptr.

@@ -341,7 +341,9 @@ TEST(CrashIsolation, SweepSurvivesOnePoisonedCell) {
   ASSERT_EQ(failed.size(), 2u);  // one per scheduler kind
   for (const sim::FailedCell& f : failed) {
     EXPECT_EQ(f.mix_name, victim);
-    EXPECT_EQ(f.attempts, 2u);  // original + one retry
+    // Deterministic: a re-run would fail the same way, so the thread
+    // backend runs a failed cell once (retries= bounds worker deaths).
+    EXPECT_EQ(f.attempts, 1u);
     EXPECT_NE(f.error.find("hang watchdog"), std::string::npos) << f.error;
   }
 

@@ -610,6 +610,36 @@ TEST(JobLedger, CorruptMidFileRecordKeepsThePrefix) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(JobLedger, ABadRecordAppliesNothingAndEndsThePrefix) {
+  // Each bad record is decoded all or nothing: it must neither conjure a
+  // job out of its id nor half-apply a transition, and nothing after it
+  // is trusted.
+  for (const std::string bad : {
+           R"({"record":"bogus","id":7})",
+           R"({"record":"done","id":1})",  // no result_path
+       }) {
+    SCOPED_TRACE(bad);
+    const std::string dir = ledger_dir("msim-ledger-bad-record");
+    {
+      JobLedger ledger(dir);
+      record_accepted_job(ledger, 1, 0, false);
+    }
+    {
+      std::ofstream out(dir + "/ledger.jsonl", std::ios::app);
+      out << bad << "\n";
+      out << "{\"record\":\"failed\",\"id\":1,\"error\":\"later\"}\n";
+    }
+    JobLedger ledger(dir);
+    ASSERT_EQ(ledger.recovered().size(), 1u);
+    const LedgerJob& job = ledger.recovered()[0];
+    EXPECT_EQ(job.id, 1u);
+    EXPECT_FALSE(job.terminal);
+    EXPECT_EQ(job.result_path, "");
+    EXPECT_EQ(job.kv.get_string("horizon", ""), "1000");
+    std::filesystem::remove_all(dir);
+  }
+}
+
 TEST(JobLedger, NewerFormatVersionIsRejectedActionably) {
   const std::string dir = ledger_dir("msim-ledger-newer");
   persist::write_text_atomic(

@@ -19,12 +19,16 @@
 //
 // Every forked child here either _exits inside supervisor code or is
 // SIGKILLed; no worker process ever returns into gtest.
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +41,7 @@
 #include "persist/journal.hpp"
 #include "persist/signal.hpp"
 #include "robust/backoff.hpp"
+#include "robust/fault.hpp"
 #include "robust/supervisor.hpp"
 #include "robust/worker_protocol.hpp"
 #include "sim/experiment.hpp"
@@ -557,6 +562,122 @@ TEST(ProcessSweep, ResumeUnionsSurvivingShardsAfterASupervisorCrash) {
   EXPECT_TRUE(std::filesystem::exists(journal.path()));
   EXPECT_FALSE(std::filesystem::exists(
       robust::SweepSupervisor::shard_path(journal.path(), 0)));
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(SweepMerge, FinalJournalIsByteIdenticalAcrossBackendsAndJobCounts) {
+  // One sweep, three ways: the merge rewrites the main journal in grid
+  // order for both backends, so the bytes cannot depend on which thread or
+  // worker finished first, and no shard outlives a completed sweep.
+  std::vector<std::string> journals;
+  for (const char* how : {"thread jobs=1", "thread jobs=4", "process workers=2"}) {
+    SCOPED_TRACE(how);
+    const TempFile journal("msim-merge-identity");
+    sim::SweepRequest req = small_request(21);
+    if (std::string(how) == "thread jobs=4") req.jobs = 4;
+    if (std::string(how) == "process workers=2") req = process_request(21, 2);
+    req.journal_path = journal.path();
+    const auto cells = run_with(req);
+    ASSERT_TRUE(sim::sweep_failures(cells).empty());
+    journals.push_back(slurp(journal.path()));
+    for (unsigned k = 0; k < 8; ++k) {
+      EXPECT_FALSE(std::filesystem::exists(
+          robust::SweepSupervisor::shard_path(journal.path(), k)))
+          << "shard " << k << " survived the merge";
+    }
+  }
+  // Header + one line per grid cell (2 kinds x 2 IQ sizes x 12 mixes).
+  EXPECT_EQ(std::count(journals[0].begin(), journals[0].end(), '\n'), 1 + 48);
+  EXPECT_EQ(journals[0], journals[1]);
+  EXPECT_EQ(journals[0], journals[2]);
+}
+
+/// Blocks the first thread to reach commit_blocked() until released.  The
+/// gate lives in process memory, so a worker forked after the block began
+/// inherits `fired` and never blocks itself.
+struct Gate {
+  std::atomic<bool> fired{false};
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+};
+
+class BlockOnceHooks final : public core::FaultHooks {
+ public:
+  explicit BlockOnceHooks(Gate& gate) : gate_(gate) {}
+  [[nodiscard]] bool commit_blocked(Cycle now) const override {
+    (void)now;
+    if (!gate_.fired.exchange(true)) {
+      gate_.entered = true;
+      while (!gate_.release) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;  // answers like the fault-free machine: results unchanged
+  }
+
+ private:
+  Gate& gate_;
+};
+
+class BlockOnceInjector final : public robust::FaultInjector {
+ public:
+  explicit BlockOnceInjector(Gate& gate)
+      : FaultInjector(robust::FaultPlan{}), gate_(gate) {}
+  [[nodiscard]] std::unique_ptr<core::FaultHooks> session(
+      std::uint64_t run_stream_seed) const override {
+    (void)run_stream_seed;
+    return std::make_unique<BlockOnceHooks>(gate_);
+  }
+
+ private:
+  Gate& gate_;
+};
+
+TEST(ProcessSweep, WorkersNeverWaitOnABaselineSlotTheParentHolds) {
+  // A serve daemon shares one BaselineCache between executors, so a
+  // process sweep can fork while another thread owns one of its
+  // single-flight slots.  The owner does not exist in the child: a worker
+  // waiting on that slot would wait forever (its heartbeat keeps it
+  // alive), so here every such cell would burn its cell_timeout_ms.
+  sim::SweepRequest req = process_request(3, 2);
+  req.kinds = {core::SchedulerKind::kTraditional};
+  req.iq_sizes = {32};
+  req.retries = 0;
+  req.cell_timeout_ms = 2000;
+
+  Gate gate;
+  const BlockOnceInjector injector(gate);
+  sim::RunConfig baseline_base = req.base;
+  baseline_base.faults = &injector;
+  sim::BaselineCache baselines(baseline_base);
+  const std::string bench(trace::mixes_for(2).front().threads().front());
+  std::thread owner([&] { (void)baselines.alone_ipc(bench, 32); });
+  while (!gate.entered) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  // The owner now provably holds the (bench, 32) slot for the whole sweep.
+  std::vector<sim::SweepCell> cells;
+  try {
+    cells = run_sweep(req, baselines);
+  } catch (...) {
+    gate.release = true;
+    owner.join();
+    throw;
+  }
+  gate.release = true;
+  owner.join();
+
+  for (const sim::FailedCell& f : sim::sweep_failures(cells)) {
+    ADD_FAILURE() << f.mix_name << ": " << f.error;
+  }
+  sim::SweepRequest reference = req;
+  reference.isolation = sim::SweepIsolation::kThread;
+  reference.workers = 0;
+  reference.cell_timeout_ms = 0;
+  EXPECT_EQ(sweep_json_of(cells), sweep_json_of(run_with(reference)));
 }
 
 // ---------------------------------------------------------------------------
