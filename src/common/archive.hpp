@@ -209,6 +209,18 @@ class Archive {
     }
   }
 
+  /// Bounds a declared element count against the bytes actually remaining,
+  /// so a corrupt length prefix cannot trigger a huge allocation (loading
+  /// only; decoders of hand-rolled sequences call it before reserving).
+  [[nodiscard]] std::size_t checked_count(std::uint64_t n,
+                                          std::size_t min_elem_bytes) const {
+    if (n > (buf_.size() - pos_) / min_elem_bytes + 1) {
+      throw PersistError("checkpoint: declared element count " +
+                         std::to_string(n) + " exceeds remaining stream");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   /// Loading archives: asserts every byte was consumed.
   void expect_end() const {
     if (!saving_ && pos_ != buf_.size()) {
@@ -228,17 +240,6 @@ class Archive {
                          std::to_string(buf_.size()) + ")");
     }
     return buf_[pos_++];
-  }
-
-  /// Bounds a declared element count against the bytes actually remaining,
-  /// so a corrupt length prefix cannot trigger a huge allocation.
-  [[nodiscard]] std::size_t checked_count(std::uint64_t n,
-                                          std::size_t min_elem_bytes) const {
-    if (n > (buf_.size() - pos_) / min_elem_bytes + 1) {
-      throw PersistError("checkpoint: declared element count " +
-                         std::to_string(n) + " exceeds remaining stream");
-    }
-    return static_cast<std::size_t>(n);
   }
 
   std::vector<std::uint8_t> buf_;

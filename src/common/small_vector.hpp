@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <type_traits>
 
 namespace msim {
@@ -58,9 +60,13 @@ class SmallVec {
   [[nodiscard]] const T* begin() const noexcept { return data(); }
   [[nodiscard]] const T* end() const noexcept { return data() + size_; }
 
-  // Not noexcept: growth allocates and may throw std::bad_alloc.
+  // Not noexcept: growth allocates and may throw std::bad_alloc (or
+  // std::length_error once the 32-bit size is exhausted).
   void push_back(const T& value) {
-    if (size_ == capacity_) reserve(capacity_ * 2);
+    if (size_ == capacity_) {
+      if (capacity_ == kMaxSize) throw std::length_error("SmallVec: size limit");
+      reserve(capacity_ > kMaxSize / 2 ? kMaxSize : capacity_ * 2);
+    }
     data()[size_++] = value;
   }
   void pop_back() noexcept { --size_; }
@@ -69,8 +75,10 @@ class SmallVec {
 
   void reserve(std::uint32_t wanted) {
     if (wanted <= capacity_) return;
+    // Doubling saturates at `wanted`: past 2^31 another doubling would wrap
+    // the 32-bit capacity to zero and never reach it.
     std::uint32_t cap = capacity_;
-    while (cap < wanted) cap *= 2;
+    while (cap < wanted) cap = cap > kMaxSize / 2 ? wanted : cap * 2;
     T* grown = new T[cap];
     std::memcpy(grown, data(), size_ * sizeof(T));
     release_heap();
@@ -79,6 +87,8 @@ class SmallVec {
   }
 
  private:
+  static constexpr std::uint32_t kMaxSize = std::numeric_limits<std::uint32_t>::max();
+
   void release_heap() noexcept {
     delete[] heap_;
     heap_ = nullptr;

@@ -1,6 +1,7 @@
 #include "core/issue_queue.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/archive.hpp"
 #include "common/check.hpp"
@@ -179,9 +180,9 @@ void IssueQueue::clear() noexcept {
   per_thread_.fill(0);
 }
 
-void IssueQueue::tick_stats() noexcept {
-  stats_.occupancy_integral += live_;
-  ++stats_.occupancy_samples;
+void IssueQueue::tick_stats(std::uint64_t cycles) noexcept {
+  stats_.occupancy_integral += live_ * cycles;
+  stats_.occupancy_samples += cycles;
 }
 
 void IssueQueue::state_io(persist::Archive& ar) {
@@ -213,14 +214,20 @@ void IssueQueue::state_io(persist::Archive& ar) {
     std::uint64_t n = w.size();
     a.io(n);
     if (a.saving()) {
-      for (std::uint64_t i = 0; i < n; ++i) {
-        a.io(w[static_cast<std::size_t>(i)].slot);
-        a.io(w[static_cast<std::size_t>(i)].gen);
+      for (WaitNode node : w) {
+        a.io(node.slot);
+        a.io(node.gen);
       }
     } else {
+      // Each node is two u32 fields; a count the remaining bytes cannot
+      // back is corrupt (PersistError), never a reserve() of that size.
+      const std::size_t count = a.checked_count(n, 2 * sizeof(std::uint32_t));
+      if (count > std::numeric_limits<std::uint32_t>::max()) {
+        throw persist::PersistError("checkpoint: issue-queue waiter list too long");
+      }
       w.clear();
-      w.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
+      w.reserve(static_cast<std::uint32_t>(count));
+      for (std::size_t i = 0; i < count; ++i) {
         WaitNode node{};
         a.io(node.slot);
         a.io(node.gen);

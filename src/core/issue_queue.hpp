@@ -153,8 +153,9 @@ class IssueQueue {
   /// Squashes every entry (watchdog flush).  Residency is not recorded.
   void clear() noexcept;
 
-  /// Accounts one cycle of occupancy statistics; call once per cycle.
-  void tick_stats() noexcept;
+  /// Accounts `cycles` cycles of occupancy statistics at the current
+  /// occupancy; call once per cycle (fast-forward passes the skipped count).
+  void tick_stats(std::uint64_t cycles = 1) noexcept;
 
   [[nodiscard]] const IqStats& stats() const noexcept { return stats_; }
   void reset_stats() { stats_ = IqStats{}; }

@@ -40,9 +40,8 @@ std::uint32_t Scheduler::buffer_size(ThreadId tid) const {
   return static_cast<std::uint32_t>(buffers_.at(tid).size());
 }
 
-void Scheduler::insert(const SchedInst& inst) {
-  auto& buf = buffers_.at(inst.tid);
-  MSIM_CHECK(buf.size() < config_.rename_buffer_entries);
+void Scheduler::insert(const SchedInst& inst, const DispatchEnv& env) {
+  MSIM_CHECK(buffers_.at(inst.tid).size() < config_.rename_buffer_entries);
   // Renaming is in order within a thread even under out-of-order dispatch
   // (Section 4), so insertions must arrive in consecutive program order.
   // (A watchdog flush resets the expectation: replay restarts at an older
@@ -52,28 +51,54 @@ void Scheduler::insert(const SchedInst& inst) {
   }
   insert_seq_valid_[inst.tid] = 1;
   last_inserted_seq_[inst.tid] = inst.seq;
-  buf.push_back(inst);
+  buffer_insert(inst, env);
 }
 
-unsigned Scheduler::non_ready_sources(const SchedInst& inst, const DispatchEnv& env) {
-  unsigned count = 0;
-  PhysReg first_unready = kNoPhysReg;
-  for (PhysReg src : inst.src) {
-    if (src == kNoPhysReg || env.is_ready(src)) continue;
-    if (src == first_unready) continue;  // one comparator covers both slots
-    first_unready = src;
-    ++count;
+void Scheduler::buffer_insert(const SchedInst& inst, const DispatchEnv& env) {
+  // Distinct non-ready sources: one comparator covers both slots when they
+  // name the same register.
+  unsigned bits = 0;
+  if (inst.src[0] != kNoPhysReg && !env.is_ready(inst.src[0])) bits |= 1u;
+  if (inst.src[1] != kNoPhysReg && inst.src[1] != inst.src[0] &&
+      !env.is_ready(inst.src[1])) {
+    bits |= 2u;
   }
-  return count;
+  RenameBuffer& buf = buffers_[inst.tid];
+  const std::uint32_t slot = buf.push_back(inst, static_cast<std::uint8_t>(bits));
+  for (unsigned k = 0; k < isa::kMaxSources; ++k) {
+    if (!((bits >> k) & 1u)) continue;
+    const PhysReg tag = inst.src[k];
+    if (tag >= waiters_.size()) waiters_.resize(tag + 1u);
+    waiters_[tag].push_back(BufferWaiter{slot, buf.generation(slot), inst.tid});
+  }
 }
 
-unsigned Scheduler::classify_non_ready(const SchedInst& inst, const DispatchEnv& env,
-                                       Cycle now) {
-  if (faults_ && faults_->force_ndi(inst.tid, inst.seq, now)) {
+void Scheduler::broadcast(PhysReg tag) {
+  iq_.broadcast(tag);
+  if (tag >= waiters_.size()) return;
+  SmallVec<BufferWaiter, 4>& list = waiters_[tag];
+  for (const BufferWaiter w : list) buffers_[w.tid].wake(w.slot, w.gen, tag);
+  list.clear();
+}
+
+void Scheduler::restore_readiness(const DispatchEnv& env) {
+  waiters_.clear();
+  std::vector<SchedInst> held;
+  for (RenameBuffer& buf : buffers_) {
+    held.clear();
+    for (std::uint32_t i = 0; i < buf.size(); ++i) held.push_back(buf[i]);
+    buf.clear();
+    for (const SchedInst& inst : held) buffer_insert(inst, env);
+  }
+}
+
+unsigned Scheduler::classify_non_ready(ThreadId tid, std::uint32_t i, Cycle now) {
+  const RenameBuffer& buf = buffers_[tid];
+  if (faults_ && faults_->force_ndi(tid, buf[i].seq, now)) {
     ++dstats_.fault_forced_ndis;
     return isa::kMaxSources;
   }
-  return non_ready_sources(inst, env);
+  return buf.non_ready(i);
 }
 
 bool Scheduler::iq_denies(unsigned non_ready, Cycle now) {
@@ -85,42 +110,30 @@ bool Scheduler::iq_denies(unsigned non_ready, Cycle now) {
   return false;
 }
 
-bool Scheduler::reads_any(const SchedInst& inst, const std::vector<PhysReg>& regs) {
-  for (PhysReg src : inst.src) {
-    if (src == kNoPhysReg) continue;
-    if (std::find(regs.begin(), regs.end(), src) != regs.end()) return true;
-  }
-  return false;
-}
-
-void Scheduler::dispatch_into_iq(const SchedInst& inst, const DispatchEnv& env,
-                                 Cycle now) {
-  // Collect the distinct non-ready tags the IQ entry must watch.
+void Scheduler::dispatch_into_iq(ThreadId tid, std::uint32_t i, Cycle now) {
+  // The distinct non-ready tags the IQ entry must watch, in source order.
+  const RenameBuffer& buf = buffers_[tid];
+  const SchedInst& inst = buf[i];
+  const unsigned bits = buf.source_bits(i);
   PhysReg waiting[isa::kMaxSources];
   std::size_t n = 0;
-  for (PhysReg src : inst.src) {
-    if (src == kNoPhysReg || env.is_ready(src)) continue;
-    bool dup = false;
-    for (std::size_t i = 0; i < n; ++i) dup = dup || waiting[i] == src;
-    if (!dup) {
-      MSIM_CHECK(n < isa::kMaxSources);
-      waiting[n] = src;
-      ++n;
-    }
+  for (unsigned k = 0; k < isa::kMaxSources; ++k) {
+    if ((bits >> k) & 1u) waiting[n++] = inst.src[k];
   }
   iq_.dispatch(inst, {waiting, n}, now);
 }
 
-void Scheduler::sample_behind_ndi(ThreadId tid, const DispatchEnv& env) {
-  const auto& buf = buffers_[tid];
+void Scheduler::sample_behind_ndi(ThreadId tid) {
+  const RenameBuffer& buf = buffers_[tid];
   // buf[0] is the blocking NDI; classify everything piled up behind it.
   // This feeds the Section-4 observation that ~90% of such instructions
   // are HDIs.  Note HDI status here considers only the comparator
   // constraint, not momentary IQ occupancy, matching the paper's usage.
-  for (std::uint32_t i = 1; i < buf.size(); ++i) {
-    ++dstats_.behind_ndi_examined;
-    if (non_ready_sources(buf[i], env) <= 1) ++dstats_.behind_ndi_hdis;
-  }
+  // The buffer's HDI tally makes this O(1): it counts every entry with at
+  // most one non-ready source, so only the head needs taking out.
+  ScanState& scan = scan_[tid];
+  scan.behind_examined = buf.size() - 1;
+  scan.behind_hdis = buf.hdis() - (buf.non_ready(0) <= 1 ? 1u : 0u);
 }
 
 bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env) {
@@ -140,11 +153,11 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
     // merely lacks a *free* adequate entry right now waits on queue
     // occupancy (the tag-elimination and traditional cases).
     const SchedInst& head = buf.front();
-    const unsigned non_ready = classify_non_ready(head, env, now);
+    const unsigned non_ready = classify_non_ready(tid, 0, now);
     if (non_ready > iq_.max_comparators()) {
       if (block_reason_[tid] != DispatchBlock::kTwoNonReady) {
         block_reason_[tid] = DispatchBlock::kTwoNonReady;
-        sample_behind_ndi(tid, env);  // once per blocked cycle
+        sample_behind_ndi(tid);  // once per blocked cycle
       }
       scan.exhausted = true;
       return false;
@@ -160,7 +173,7 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
       block_reason_[tid] = DispatchBlock::kNone;
       return true;
     }
-    dispatch_into_iq(head, env, now);
+    dispatch_into_iq(tid, 0, now);
     ++dstats_.dispatched_by_nonready[std::min(non_ready, 2u)];
     if (tracer_) tracer_->record(now, tid, head.seq, obs::TraceStage::kDispatch);
     buf.pop_front();
@@ -173,8 +186,8 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
   const std::uint32_t depth = config_.effective_scan_depth();
   while (scan.pos < buf.size() && scan.examined < depth) {
     const SchedInst& cand = buf[scan.pos];
-    const unsigned non_ready = classify_non_ready(cand, env, now);
-    const bool tainted = reads_any(cand, scan.tainted);
+    const unsigned non_ready = classify_non_ready(tid, scan.pos, now);
+    const bool tainted = scan.reads_tainted(cand);
     if (non_ready <= iq_.max_comparators() && iq_denies(non_ready, now)) {
       scan.saw_iq_full = true;
       // Deadlock avoidance (Section 4): when the thread's oldest ROB
@@ -183,7 +196,7 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
       // so all of its sources are ready by definition.
       if (config_.deadlock == DeadlockMode::kAvoidanceBuffer && !dab_[tid] &&
           env.is_oldest_in_rob(tid, buf.front().seq)) {
-        MSIM_CHECK(non_ready_sources(buf.front(), env) == 0);
+        MSIM_CHECK(buf.non_ready(0) == 0);
         dab_[tid] = buf.front();
         ++dab_live_;
         buf.pop_front();
@@ -202,7 +215,7 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
     if (non_ready > iq_.max_comparators()) {
       // NDI: bypass it; its destination taints dependents.
       scan.saw_ndi = true;
-      if (cand.dest != kNoPhysReg) scan.tainted.push_back(cand.dest);
+      if (cand.dest != kNoPhysReg) scan.taint(cand.dest);
       ++scan.pos;
       ++scan.examined;
       continue;
@@ -210,8 +223,8 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
     if (filtered && tainted) {
       // Idealized filtering: an HDI dependent (directly or transitively)
       // on a bypassed NDI is held back.
-      ++dstats_.filtered_suppressed;
-      if (cand.dest != kNoPhysReg) scan.tainted.push_back(cand.dest);
+      ++scan.suppressed;
+      if (cand.dest != kNoPhysReg) scan.taint(cand.dest);
       ++scan.pos;
       ++scan.examined;
       continue;
@@ -228,10 +241,10 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
       ++dstats_.ooo_dispatches;
       if (tainted) {
         ++dstats_.ooo_dispatches_dependent;
-        if (cand.dest != kNoPhysReg) scan.tainted.push_back(cand.dest);
+        if (cand.dest != kNoPhysReg) scan.taint(cand.dest);
       }
     }
-    dispatch_into_iq(cand, env, now);
+    dispatch_into_iq(tid, scan.pos, now);
     ++dstats_.dispatched_by_nonready[std::min(non_ready, 2u)];
     if (tracer_) {
       tracer_->record(now, tid, cand.seq, obs::TraceStage::kDispatch,
@@ -251,19 +264,21 @@ bool Scheduler::try_dispatch_one(ThreadId tid, Cycle now, const DispatchEnv& env
 }
 
 DispatchCycleResult Scheduler::run_dispatch(Cycle now, const DispatchEnv& env) {
-  ++dstats_.cycles;
   for (ThreadId t = 0; t < thread_count_; ++t) {
     scan_[t].reset();
     block_reason_[t] = DispatchBlock::kNone;
   }
 
   DispatchCycleResult result;
-  rr_start_ = (rr_start_ + 1) % thread_count_;
+  // Rotation without a division per step: this runs every cycle.
+  rr_start_ = rr_start_ + 1 == thread_count_ ? 0 : rr_start_ + 1;
   bool progress = true;
   while (result.dispatched < dispatch_width_ && progress) {
     progress = false;
-    for (unsigned i = 0; i < thread_count_ && result.dispatched < dispatch_width_; ++i) {
-      const auto tid = static_cast<ThreadId>((rr_start_ + i) % thread_count_);
+    unsigned slot = rr_start_;
+    for (unsigned i = 0; i < thread_count_ && result.dispatched < dispatch_width_;
+         ++i, slot = slot + 1 == thread_count_ ? 0 : slot + 1) {
+      const auto tid = static_cast<ThreadId>(slot);
       if (try_dispatch_one(tid, now, env)) {
         ++result.dispatched;
         progress = true;
@@ -271,31 +286,12 @@ DispatchCycleResult Scheduler::run_dispatch(Cycle now, const DispatchEnv& env) {
     }
   }
   dstats_.dispatched += result.dispatched;
-
-  // Classify the cycle for the Section-3 stall statistic: "the dispatch of
-  // all threads stalls due to all threads having instructions with two
-  // non-ready sources".  Every thread must actually hold an instruction
-  // blocked by the comparator constraint -- a thread with an empty buffer
-  // is fetch-starved, not stalled by the 2OP_BLOCK rule.
-  if (result.dispatched == 0) {
-    ++dstats_.no_dispatch_cycles;
-    bool all_ndi = true;
-    for (ThreadId t = 0; t < thread_count_; ++t) {
-      all_ndi = all_ndi && block_reason_[t] == DispatchBlock::kTwoNonReady;
-    }
-    if (all_ndi) ++dstats_.all_threads_ndi_stall_cycles;
-  }
-  for (ThreadId t = 0; t < thread_count_; ++t) {
-    if (block_reason_[t] == DispatchBlock::kTwoNonReady) ++dstats_.ndi_blocked_thread_cycles;
-    if (block_reason_[t] == DispatchBlock::kIqFull) ++dstats_.iq_full_thread_cycles;
-  }
+  account_cycles(result.dispatched == 0, 1);
 
   // Watchdog (Section 4): counts down on dispatch-free cycles while work is
   // waiting; any dispatch resets it.
   if (config_.deadlock == DeadlockMode::kWatchdog && ooo_dispatch(config_.kind)) {
-    bool work_waiting = false;
-    for (const auto& buf : buffers_) work_waiting = work_waiting || !buf.empty();
-    if (result.dispatched > 0 || !work_waiting) {
+    if (result.dispatched > 0 || !watchdog_counting()) {
       watchdog_remaining_ = config_.watchdog_timeout;
     } else if (watchdog_remaining_ == 0 || --watchdog_remaining_ == 0) {
       result.watchdog_fired = true;
@@ -304,6 +300,59 @@ DispatchCycleResult Scheduler::run_dispatch(Cycle now, const DispatchEnv& env) {
     }
   }
   return result;
+}
+
+void Scheduler::account_cycles(bool dispatched_none, std::uint64_t cycles) {
+  dstats_.cycles += cycles;
+  // Classify the cycle for the Section-3 stall statistic: "the dispatch of
+  // all threads stalls due to all threads having instructions with two
+  // non-ready sources".  Every thread must actually hold an instruction
+  // blocked by the comparator constraint -- a thread with an empty buffer
+  // is fetch-starved, not stalled by the 2OP_BLOCK rule.
+  if (dispatched_none) {
+    dstats_.no_dispatch_cycles += cycles;
+    bool all_ndi = true;
+    for (ThreadId t = 0; t < thread_count_; ++t) {
+      all_ndi = all_ndi && block_reason_[t] == DispatchBlock::kTwoNonReady;
+    }
+    if (all_ndi) dstats_.all_threads_ndi_stall_cycles += cycles;
+  }
+  for (ThreadId t = 0; t < thread_count_; ++t) {
+    if (block_reason_[t] == DispatchBlock::kTwoNonReady) {
+      dstats_.ndi_blocked_thread_cycles += cycles;
+    }
+    if (block_reason_[t] == DispatchBlock::kIqFull) dstats_.iq_full_thread_cycles += cycles;
+    const ScanState& scan = scan_[t];
+    dstats_.behind_ndi_examined += scan.behind_examined * cycles;
+    dstats_.behind_ndi_hdis += scan.behind_hdis * cycles;
+    dstats_.filtered_suppressed += scan.suppressed * cycles;
+  }
+}
+
+bool Scheduler::watchdog_counting() const noexcept {
+  if (config_.deadlock != DeadlockMode::kWatchdog || !ooo_dispatch(config_.kind)) {
+    return false;
+  }
+  for (const RenameBuffer& buf : buffers_) {
+    if (!buf.empty()) return true;
+  }
+  return false;
+}
+
+Cycle Scheduler::idle_cycles_until_watchdog() const noexcept {
+  // The phase that leaves the countdown at r fires it r cycles later (a
+  // zero countdown, i.e. watchdog_timeout=0, fires on the next cycle).
+  if (!watchdog_counting()) return kCycleNever;
+  return std::max<Cycle>(watchdog_remaining_, 1);
+}
+
+void Scheduler::replay_idle_cycles(std::uint64_t cycles) {
+  rr_start_ = static_cast<unsigned>((rr_start_ + cycles) % thread_count_);
+  account_cycles(true, cycles);
+  if (watchdog_counting()) {
+    MSIM_CHECK(cycles < idle_cycles_until_watchdog());
+    watchdog_remaining_ -= static_cast<std::uint32_t>(cycles);
+  }
 }
 
 unsigned Scheduler::run_select(Cycle now, IssueEnv& env) {
@@ -438,11 +487,16 @@ void Scheduler::state_io(persist::Archive& ar) {
         io_sched_inst(ar, si);
       }
     } else {
+      // Readiness bits are placeholders until restore_readiness.
       buf.clear();
       for (std::uint64_t i = 0; i < n; ++i) {
         SchedInst si{};
         io_sched_inst(ar, si);
-        buf.push_back(si);
+        if (si.tid != static_cast<ThreadId>(&buf - buffers_.data()) ||
+            buf.size() >= config_.rename_buffer_entries) {
+          throw persist::PersistError("checkpoint: rename buffer entry out of place");
+        }
+        buf.push_back(si, 0);
       }
     }
   }
@@ -455,6 +509,9 @@ void Scheduler::state_io(persist::Archive& ar) {
   ar.io(insert_seq_valid_);
   ar.io(watchdog_remaining_);
   ar.io(rr_start_);
+  if (!ar.saving() && rr_start_ >= thread_count_) {
+    throw persist::PersistError("checkpoint: dispatch round-robin origin out of range");
+  }
   ar.io(dstats_.cycles);
   ar.io(dstats_.dispatched);
   for (std::uint64_t& n : dstats_.dispatched_by_nonready) ar.io(n);

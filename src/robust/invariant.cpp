@@ -70,6 +70,35 @@ void InvariantChecker::on_cycle_end(const smt::Pipeline& pipe, Cycle now) {
     }
     iq_sum += iq.size_for(t);
 
+    // 7. Cached dispatch readiness: each buffered instruction's count of
+    // distinct non-ready sources (kept up to date by broadcasts) equals a
+    // fresh classification against the rename ready bits, and the thread's
+    // HDI tally counts exactly the entries with at most one.
+    std::uint32_t hdis = 0;
+    for (std::uint32_t i = 0; i < sched.buffer_size(t); ++i) {
+      const core::SchedInst& si = sched.buffered(t, i);
+      unsigned fresh = 0;
+      PhysReg first_unready = kNoPhysReg;
+      for (const PhysReg src : si.src) {
+        if (src == kNoPhysReg || rename.is_ready(src) || src == first_unready) continue;
+        first_unready = src;
+        ++fresh;
+      }
+      if (fresh != sched.buffered_non_ready(t, i)) {
+        violation(now, "thread " + std::to_string(t) + " buffered seq " +
+                           std::to_string(si.seq) + " caches " +
+                           std::to_string(sched.buffered_non_ready(t, i)) +
+                           " non-ready sources but has " + std::to_string(fresh));
+      }
+      if (fresh <= 1) ++hdis;
+    }
+    if (hdis != sched.buffered_hdis(t)) {
+      violation(now, "thread " + std::to_string(t) + " HDI tally " +
+                         std::to_string(sched.buffered_hdis(t)) + " but " +
+                         std::to_string(hdis) + " buffered entries have <= 1 "
+                         "non-ready source");
+    }
+
     // 4. The DAB may only shelter the thread's oldest in-flight instruction
     // (that is the premise of the deadlock-avoidance argument in Section 4).
     if (const auto& slot = sched.dab_inst(t)) {

@@ -15,6 +15,9 @@
 //   5. rename free-list conservation: free + committed maps + in-flight
 //      destinations account for every physical register of each class
 //   6. LSQ occupancy equals the in-flight memory-instruction population
+//   7. dispatch readiness cache: every buffered instruction's cached count
+//      of non-ready sources equals a fresh classification, and the HDI
+//      tally counts the entries with at most one
 #pragma once
 
 #include <cstdint>

@@ -109,6 +109,30 @@ class BroadcastSchedule {
     base_ = now + 1;
   }
 
+  /// Earliest cycle before `bound` with a scheduled broadcast, else
+  /// `bound`.  Scans at most the ring buckets below the bound, so the cost
+  /// stays proportional to the span a fast-forward may skip.
+  [[nodiscard]] Cycle next_due(Cycle bound) const {
+    if (pending_ == 0) return bound;
+    Cycle next = bound;
+    if (!spill_.empty()) next = std::min(next, spill_.begin()->first);
+    // Ring tags all fall in [base_, base_ + ring size): placement required
+    // it against an older base_, and earlier cycles have been drained.
+    const Cycle ring_end = std::min(next, base_ + mask_ + 1);
+    for (Cycle c = base_; c < ring_end; ++c) {
+      if (!ring_[c & mask_].empty()) return c;
+    }
+    return next;
+  }
+
+  /// Advances the drain point past `through` exactly as drain_due(c) for
+  /// every cycle c up to `through` would; none of those cycles may hold a
+  /// broadcast (quiet-cycle fast-forward, after next_due).
+  void skip_idle(Cycle through) noexcept {
+    if (pending_ != 0) drain_cycle_ = through;
+    base_ = std::max(base_, through + 1);
+  }
+
   /// Drops every pending broadcast (watchdog flush).
   void clear() noexcept {
     for (auto& bucket : ring_) bucket.clear();

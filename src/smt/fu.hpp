@@ -43,6 +43,28 @@ class FuPools {
     return false;
   }
 
+  /// Earliest cycle after `now` at which a busy unit frees up, or
+  /// kCycleNever (quiet-cycle fast-forward: until then every rejected
+  /// offer is rejected again).
+  [[nodiscard]] Cycle next_release(Cycle now) const noexcept {
+    Cycle next = kCycleNever;
+    for (const auto& pool : pools_) {
+      for (const Cycle busy_until : pool) {
+        if (busy_until > now && busy_until < next) next = busy_until;
+      }
+    }
+    return next;
+  }
+
+  /// Charges `cycles` more quiet cycles that each rejected `per_cycle`
+  /// offers per unit kind (fast-forward replay).
+  void charge_rejects(const std::array<std::uint64_t, isa::kFuKindCount>& per_cycle,
+                      std::uint64_t cycles) noexcept {
+    for (unsigned k = 0; k < isa::kFuKindCount; ++k) {
+      stats_.structural_rejects[k] += per_cycle[k] * cycles;
+    }
+  }
+
   /// Frees all units (watchdog flush).
   void clear() noexcept {
     for (auto& pool : pools_) {

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/types.hpp"
@@ -40,19 +40,20 @@ class LoadStoreQueue {
   /// data is not ready.  Without it, any older store with an unresolved
   /// address blocks the load (conservative hardware).
   explicit LoadStoreQueue(std::uint32_t capacity, bool oracle_disambiguation = true)
-      : capacity_(capacity), oracle_(oracle_disambiguation) {
+      : capacity_(capacity), oracle_(oracle_disambiguation), ring_(capacity) {
     MSIM_CHECK(capacity_ > 0);
   }
 
-  [[nodiscard]] bool full() const noexcept { return entries_.size() >= capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool full() const noexcept { return size_ >= capacity_; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Allocates an entry at rename, in program order.
   void allocate(SeqNum seq, bool is_store, Addr addr, PhysReg addr_src,
                 PhysReg data_src) {
     MSIM_CHECK(!full());
-    MSIM_CHECK(entries_.empty() || seq > entries_.back().seq);
-    entries_.push_back({seq, addr, addr_src, data_src, is_store});
+    MSIM_CHECK(size_ == 0 || seq > at(size_ - 1).seq);
+    ring_[slot(size_)] = {seq, addr, addr_src, data_src, is_store};
+    ++size_;
   }
 
   /// Memory-order check for a load about to issue.  `ready` reports
@@ -61,14 +62,27 @@ class LoadStoreQueue {
   [[nodiscard]] LoadVerdict check_load(SeqNum load_seq, Addr addr, ReadyFn&& ready) {
     ++stats_.loads_checked;
     const Entry* forward_from = nullptr;
-    for (const Entry& e : entries_) {
-      if (e.seq >= load_seq) break;
-      if (!e.is_store) continue;
-      if (!oracle_ && e.addr_src != kNoPhysReg && !ready(e.addr_src)) {
-        ++stats_.blocked_checks;
-        return LoadVerdict::kBlocked;  // unresolved older store address
+    if (oracle_) {
+      // Only the youngest older store to the same address matters: walk
+      // back from the load and stop at the first one.
+      for (std::uint32_t i = older_count(load_seq); i-- > 0;) {
+        const Entry& e = at(i);
+        if (e.is_store && e.addr == addr) {
+          forward_from = &e;
+          break;
+        }
       }
-      if (e.addr == addr) forward_from = &e;  // youngest match wins
+    } else {
+      for (std::uint32_t i = 0; i < size_; ++i) {
+        const Entry& e = at(i);
+        if (e.seq >= load_seq) break;
+        if (!e.is_store) continue;
+        if (e.addr_src != kNoPhysReg && !ready(e.addr_src)) {
+          ++stats_.blocked_checks;
+          return LoadVerdict::kBlocked;  // unresolved older store address
+        }
+        if (e.addr == addr) forward_from = &e;  // youngest match wins
+      }
     }
     if (forward_from == nullptr) return LoadVerdict::kAccess;
     if (forward_from->data_src == kNoPhysReg || ready(forward_from->data_src)) {
@@ -81,22 +95,28 @@ class LoadStoreQueue {
 
   /// Commit-time release; must match the oldest entry.
   void pop(SeqNum seq) {
-    MSIM_CHECK(!entries_.empty() && entries_.front().seq == seq);
-    entries_.pop_front();
+    MSIM_CHECK(size_ > 0 && at(0).seq == seq);
+    head_ = slot(1);
+    --size_;
   }
 
   /// Drops entries younger than `after_seq` (partial squash; they are at
   /// the tail because allocation is in program order).
   void squash_younger(SeqNum after_seq) noexcept {
-    while (!entries_.empty() && entries_.back().seq > after_seq) {
-      entries_.pop_back();
-    }
+    while (size_ > 0 && at(size_ - 1).seq > after_seq) --size_;
   }
 
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept { size_ = 0; }
 
   [[nodiscard]] const LsqStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
+  /// Charges `cycles` more quiet cycles that each made the `per_cycle`
+  /// checks (fast-forward replay of loads rejected every cycle).
+  void charge_checks(const LsqStats& per_cycle, std::uint64_t cycles) noexcept {
+    stats_.loads_checked += per_cycle.loads_checked * cycles;
+    stats_.forwards += per_cycle.forwards * cycles;
+    stats_.blocked_checks += per_cycle.blocked_checks * cycles;
+  }
 
   void save_state(persist::Archive& ar) const;
   void load_state(persist::Archive& ar);
@@ -112,9 +132,35 @@ class LoadStoreQueue {
     bool is_store;
   };
 
+  /// Number of entries older than `seq` (entries are in ascending seq).
+  [[nodiscard]] std::uint32_t older_count(SeqNum seq) const noexcept {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = size_;
+    while (lo < hi) {
+      const std::uint32_t mid = lo + (hi - lo) / 2;
+      if (at(mid).seq < seq) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Ring index of the `i`-th oldest entry.
+  [[nodiscard]] std::uint32_t slot(std::uint32_t i) const noexcept {
+    const std::uint32_t s = head_ + i;
+    return s >= capacity_ ? s - capacity_ : s;
+  }
+  [[nodiscard]] const Entry& at(std::uint32_t i) const noexcept { return ring_[slot(i)]; }
+
   std::uint32_t capacity_;
   bool oracle_;
-  std::deque<Entry> entries_;
+  /// Entries in program order in a fixed ring (one contiguous array: the
+  /// per-load disambiguation scan walks it every issue attempt).
+  std::vector<Entry> ring_;
+  std::uint32_t head_ = 0;
+  std::uint32_t size_ = 0;
   LsqStats stats_;
 };
 

@@ -204,6 +204,7 @@ void Pipeline::do_commit(Cycle now) {
         ts.lsq.pop(head.inst.seq);
       }
       rename_.commit(tid, head.inst.dest, head.dest_phys, head.prev_dest_phys);
+      progress_ = true;
       tracer_.record(now, tid, head.inst.seq, obs::TraceStage::kCommit);
       mix_digest(tid);
       mix_digest(head.inst.seq);
@@ -221,16 +222,18 @@ void Pipeline::apply_broadcasts(Cycle now) {
   broadcasts_.drain_due(now, [this](PhysReg tag) {
     rename_.set_ready(tag);
     scheduler_->broadcast(tag);
+    progress_ = true;
   });
 }
 
 void Pipeline::do_issue(Cycle now) {
   issue_env_->set_cycle(now);
-  scheduler_->run_select(now, *issue_env_);
+  if (scheduler_->run_select(now, *issue_env_) > 0) progress_ = true;
 }
 
 void Pipeline::do_dispatch(Cycle now) {
   const core::DispatchCycleResult result = scheduler_->run_dispatch(now, *dispatch_env_);
+  if (result.dispatched > 0) progress_ = true;
   if (result.watchdog_fired) watchdog_flush(now);
 }
 
@@ -283,7 +286,8 @@ void Pipeline::do_rename(Cycle now) {
       si.src[0] = rr.src[0];
       si.src[1] = rr.src[1];
       si.dest = rr.dest;
-      scheduler_->insert(si);
+      scheduler_->insert(si, *dispatch_env_);
+      progress_ = true;
       tracer_.record(now, tid, di.seq, obs::TraceStage::kRename,
                      e.wrong_path ? obs::kTraceFlagWrongPath : std::uint8_t{0});
 
@@ -317,6 +321,7 @@ unsigned Pipeline::fetch_from_thread(ThreadId tid, unsigned budget, Cycle now) {
   const std::uint64_t line_bytes = config_.memory.l1i.line_bytes;
   unsigned fetched = 0;
   while (fetched < budget && ts.fetch_queue.size() < config_.fetch_queue_entries) {
+    progress_ = true;  // an I-cache access or a fetch, at the least
     const isa::DynInst& di = peek_next_inst(ts);
 
     const Addr line = di.pc / line_bytes;
@@ -378,6 +383,7 @@ unsigned Pipeline::fetch_wrong_path(ThreadId tid, unsigned budget, Cycle now) {
   const std::uint64_t line_bytes = config_.memory.l1i.line_bytes;
   unsigned fetched = 0;
   while (fetched < budget && ts.fetch_queue.size() < config_.fetch_queue_entries) {
+    progress_ = true;
     isa::DynInst wi = ts.gen.synthesize_wrong_path(ts.wp_pc, ts.wp_rng);
     wi.seq = ts.wp_next_seq;
 
@@ -428,8 +434,10 @@ void Pipeline::do_fetch(Cycle now) {
   // in-flight front-end instructions first pick; round-robin simply
   // rotates.  STALL and FLUSH use ICOUNT order plus L2-miss gating.
   std::array<ThreadId, kMaxThreads> order;
+  unsigned slot = static_cast<unsigned>(now % config_.thread_count);
   for (unsigned t = 0; t < config_.thread_count; ++t) {
-    order[t] = static_cast<ThreadId>((now + t) % config_.thread_count);
+    order[t] = static_cast<ThreadId>(slot);
+    slot = slot + 1 == config_.thread_count ? 0 : slot + 1;
   }
   if (config_.fetch_policy != FetchPolicy::kRoundRobin) {
     // icount() walks three structures; compute it once per thread and
@@ -467,9 +475,14 @@ void Pipeline::do_fetch(Cycle now) {
                  : fetch_from_thread(tid, config_.fetch_width - total, now);
     ++threads_used;  // the thread consumed a fetch port even on an I-miss
   }
+  // Once the ports run out, threads later in this cycle's rotation went
+  // unvisited; the next cycle's rotation may visit (and fetch for) them, so
+  // such a cycle is never taken as quiet.
+  if (threads_used >= config_.fetch_threads_per_cycle) progress_ = true;
 }
 
 void Pipeline::watchdog_flush(Cycle now) {
+  progress_ = true;
   for (ThreadId t = 0; t < config_.thread_count; ++t) {
     ThreadState& ts = *threads_[t];
     trace_squash(t, /*min_seq=*/0, now);
@@ -518,6 +531,7 @@ void Pipeline::flush_thread_after(ThreadId tid, SeqNum after_seq, Cycle now,
                                   bool requeue) {
   ThreadState& ts = *threads_[tid];
   MSIM_CHECK(ts.rob.contains(after_seq));
+  progress_ = true;
   trace_squash(tid, after_seq + 1, now);
   const SeqNum youngest = ts.rob.head_seq() + ts.rob.size() - 1;
 
@@ -598,6 +612,7 @@ void Pipeline::apply_wrong_path_squashes(Cycle now) {
 
 void Pipeline::tick() {
   const Cycle now = cycle_;
+  progress_ = false;
   apply_wrong_path_squashes(now);
   do_commit(now);
   apply_broadcasts(now);
@@ -643,9 +658,22 @@ Cycle Pipeline::run(std::uint64_t horizon, Cycle max_cycles) {
     hang_last_total_ = raw_committed();
     hang_last_progress_ = cycle_;
   }
+  QuietCounters before;
   while (!reached()) {
     if (max_cycles != 0 && cycle_ - start >= max_cycles) break;
+    const bool fast_forward = observer_ == nullptr && faults_ == nullptr;
+    if (fast_forward) snapshot_quiet_counters(before);
     tick();
+    if (fast_forward && !progress_) {
+      // Neither a checkpoint chunk boundary nor a hang declaration may be
+      // skipped over: both must happen at the cycle a tick-by-tick run
+      // reaches them.
+      Cycle limit = max_cycles != 0 ? start + max_cycles : kCycleNever;
+      if (config_.hang_cycles != 0) {
+        limit = std::min(limit, hang_last_progress_ + config_.hang_cycles);
+      }
+      skip_quiet_cycles(before, limit);
+    }
     if (config_.hang_cycles != 0) {
       const std::uint64_t total = raw_committed();
       if (total != hang_last_total_) {
@@ -662,6 +690,82 @@ Cycle Pipeline::run(std::uint64_t horizon, Cycle max_cycles) {
     }
   }
   return cycle_ - start;
+}
+
+// ---- quiet-cycle fast-forward ------------------------------------------------
+
+void Pipeline::snapshot_quiet_counters(QuietCounters& out) const noexcept {
+  out.fu_rejects = fu_.stats().structural_rejects;
+  out.load_issue_blocked = pstats_.load_issue_blocked;
+  out.fetch_l2_gated = pstats_.fetch_l2_gated;
+  for (ThreadId t = 0; t < config_.thread_count; ++t) out.lsq[t] = threads_[t]->lsq.stats();
+}
+
+Cycle Pipeline::next_event_cycle(Cycle limit) const {
+  // The tick of cycle `last` changed nothing, so every later tick repeats
+  // it until one of these conditions flips.
+  const Cycle last = cycle_ - 1;
+  Cycle next = limit;
+  const auto at = [&](Cycle c) {
+    if (c > last && c < next) next = c;
+  };
+  // An interval capture after the skipped tick that reaches the boundary.
+  if (interval_.enabled()) {
+    const Cycle every = interval_.config().interval_cycles;
+    at((cycle_ / every + 1) * every);
+  }
+  if (const Cycle idle = scheduler_->idle_cycles_until_watchdog(); idle != kCycleNever) {
+    at(last + idle);
+  }
+  for (const auto& ts : threads_) {
+    if (!ts->rob.empty()) {
+      const RobEntry& head = ts->rob.entry(ts->rob.head_seq());
+      if (head.issued) at(head.complete_at);  // commit
+    }
+    at(ts->fetch_stalled_until);
+    at(ts->l2_stall_until);
+    if (!ts->fetch_queue.empty()) {
+      at(ts->fetch_queue.front().fetched_at + config_.front_end_delay());  // rename
+    }
+    if (ts->on_wrong_path) at(ts->wp_squash_at);
+  }
+  at(fu_.next_release(last));
+  return broadcasts_.next_due(next);
+}
+
+void Pipeline::skip_quiet_cycles(const QuietCounters& before, Cycle limit) {
+  const Cycle target = next_event_cycle(limit);
+  if (target <= cycle_) return;
+  const std::uint64_t cycles = target - cycle_;
+
+  // Integer counters: the quiet tick's increments, once per skipped cycle.
+  QuietCounters after;
+  snapshot_quiet_counters(after);
+  std::array<std::uint64_t, isa::kFuKindCount> fu_rejects{};
+  for (unsigned k = 0; k < isa::kFuKindCount; ++k) {
+    fu_rejects[k] = after.fu_rejects[k] - before.fu_rejects[k];
+  }
+  fu_.charge_rejects(fu_rejects, cycles);
+  pstats_.load_issue_blocked += (after.load_issue_blocked - before.load_issue_blocked) * cycles;
+  pstats_.fetch_l2_gated += (after.fetch_l2_gated - before.fetch_l2_gated) * cycles;
+  for (ThreadId t = 0; t < config_.thread_count; ++t) {
+    LsqStats per_cycle;
+    per_cycle.loads_checked = after.lsq[t].loads_checked - before.lsq[t].loads_checked;
+    per_cycle.forwards = after.lsq[t].forwards - before.lsq[t].forwards;
+    per_cycle.blocked_checks = after.lsq[t].blocked_checks - before.lsq[t].blocked_checks;
+    threads_[t]->lsq.charge_checks(per_cycle, cycles);
+  }
+  scheduler_->replay_idle_cycles(cycles);
+  scheduler_->tick_stats(cycles);
+  // Sampled gauges: one add per skipped cycle (Welford has no closed form).
+  sample_observability(cycles);
+  broadcasts_.skip_idle(target - 1);
+
+  cycle_ = target;
+  fast_forwarded_ += cycles;
+  if (interval_.enabled() && cycle_ % interval_.config().interval_cycles == 0) {
+    interval_.capture(make_cumulative_sample());
+  }
 }
 
 void Pipeline::reset_stats() {
@@ -818,37 +922,52 @@ void Pipeline::register_metrics() {
   }
 }
 
-void Pipeline::sample_observability() {
-  occ_iq_->add(static_cast<double>(scheduler_->iq().size()));
-  occ_dab_->add(static_cast<double>(scheduler_->dab_occupancy()));
+void Pipeline::sample_observability(std::uint64_t cycles) {
+  // Gauge values first, then the adds: the cycles loop walks every gauge
+  // per cycle, so a fast-forward's repeated adds to different gauges
+  // overlap instead of queueing behind one gauge's chain of divisions.
+  // Each gauge still sees its adds in cycle order.
+  std::array<StreamingStat*, 2 + 3 * kMaxThreads> gauges;
+  std::array<double, 2 + 3 * kMaxThreads> values;
+  std::size_t n = 0;
+  const auto gauge = [&](StreamingStat* stat, double x) {
+    gauges[n] = stat;
+    values[n] = x;
+    ++n;
+  };
+  gauge(occ_iq_, static_cast<double>(scheduler_->iq().size()));
+  gauge(occ_dab_, static_cast<double>(scheduler_->dab_occupancy()));
   for (ThreadId t = 0; t < config_.thread_count; ++t) {
     const ThreadState& ts = *threads_[t];
-    occ_rob_[t]->add(static_cast<double>(ts.rob.size()));
-    occ_lsq_[t]->add(static_cast<double>(ts.lsq.size()));
-    occ_rename_buffer_[t]->add(static_cast<double>(scheduler_->buffer_size(t)));
+    gauge(occ_rob_[t], static_cast<double>(ts.rob.size()));
+    gauge(occ_lsq_[t], static_cast<double>(ts.lsq.size()));
+    gauge(occ_rename_buffer_[t], static_cast<double>(scheduler_->buffer_size(t)));
 
     ThreadStallStats& ss = stall_stats_[t];
     switch (scheduler_->block_reason(t)) {
       case core::DispatchBlock::kTwoNonReady:
-        ++ss.ndi_blocked_cycles;
+        ss.ndi_blocked_cycles += cycles;
         break;
       case core::DispatchBlock::kIqFull:
-        ++ss.iq_full_cycles;
+        ss.iq_full_cycles += cycles;
         break;
       case core::DispatchBlock::kEmptyBuffer:
         // Nothing buffered to dispatch: attribute to whichever upstream
         // structure gated rename this cycle, else the front end itself.
         if (ts.rob.full()) {
-          ++ss.rob_full_cycles;
+          ss.rob_full_cycles += cycles;
         } else if (ts.lsq.full()) {
-          ++ss.lsq_full_cycles;
+          ss.lsq_full_cycles += cycles;
         } else {
-          ++ss.fetch_starved_cycles;
+          ss.fetch_starved_cycles += cycles;
         }
         break;
       default:
         break;
     }
+  }
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    for (std::size_t i = 0; i < n; ++i) gauges[i]->add(values[i]);
   }
 }
 
@@ -970,7 +1089,12 @@ void Pipeline::state_io(persist::Archive& ar) {
   ar.io(pstats_.fault_extra_latency_cycles);
   for (const auto& ts : threads_) thread_state_io(ar, *ts);
   if (ar.saving()) rename_.save_state(ar); else rename_.load_state(ar);
-  if (ar.saving()) scheduler_->save_state(ar); else scheduler_->load_state(ar);
+  if (ar.saving()) {
+    scheduler_->save_state(ar);
+  } else {
+    scheduler_->load_state(ar);
+    scheduler_->restore_readiness(*dispatch_env_);  // rename_ is loaded above
+  }
   if (ar.saving()) fu_.save_state(ar); else fu_.load_state(ar);
   if (ar.saving()) mem_.save_state(ar); else mem_.load_state(ar);
   if (ar.saving()) bpred_.save_state(ar); else bpred_.load_state(ar);

@@ -145,6 +145,13 @@ class Pipeline {
   /// paper's stop rule) or `max_cycles` elapses; returns cycles executed.
   /// Throws NoForwardProgress if no thread commits for
   /// MachineConfig::hang_cycles consecutive cycles (0 disables).
+  ///
+  /// Quiet cycles are fast-forwarded: after a tick that changed no machine
+  /// state, the cycles up to the next one at which anything can happen are
+  /// skipped and their accounting replayed, with every simulated number
+  /// identical to ticking through them (docs/PERFORMANCE.md).  Off while an
+  /// observer or fault hooks are attached, so verify=1 still sees every
+  /// cycle.
   Cycle run(std::uint64_t horizon, Cycle max_cycles = 0);
 
   /// Functional fast path (mode=sampled warm-up): executes instructions in
@@ -200,6 +207,11 @@ class Pipeline {
   /// (tid, seq, cycle per commit), never reset: two runs are behaviourally
   /// identical iff their digests match.  Checkpoint/resume preserves it.
   [[nodiscard]] std::uint64_t commit_digest() const noexcept { return commit_digest_; }
+  /// Cycles run() skipped by quiet-cycle fast-forward since construction
+  /// (host-side introspection: not a statistic, not checkpointed).
+  [[nodiscard]] std::uint64_t fast_forwarded_cycles() const noexcept {
+    return fast_forwarded_;
+  }
   [[nodiscard]] unsigned thread_count() const noexcept { return config_.thread_count; }
   [[nodiscard]] std::uint64_t committed(ThreadId tid) const;
   /// Raw (reset-independent) count of instructions that entered the fetch
@@ -321,11 +333,33 @@ class Pipeline {
   void apply_pending_policy_flushes(Cycle now);
   void apply_wrong_path_squashes(Cycle now);
   unsigned fetch_wrong_path(ThreadId tid, unsigned budget, Cycle now);
+
+  /// Counters a quiet cycle still moves in the select and fetch stages:
+  /// rejected issue offers (function units busy, loads held by memory
+  /// ordering) and L2-gated fetch slots.  Taken before each tick run()
+  /// may fast-forward from; a quiet tick's deltas are exactly what each
+  /// skipped cycle would have added.
+  struct QuietCounters {
+    std::array<std::uint64_t, isa::kFuKindCount> fu_rejects{};
+    std::uint64_t load_issue_blocked = 0;
+    std::uint64_t fetch_l2_gated = 0;
+    std::array<LsqStats, kMaxThreads> lsq{};
+  };
+  void snapshot_quiet_counters(QuietCounters& out) const noexcept;
+  /// After a quiet tick: skips to the earliest cycle at which anything can
+  /// happen (at most `limit`), replaying the skipped cycles' accounting.
+  void skip_quiet_cycles(const QuietCounters& before, Cycle limit);
+  /// The earliest cycle >= cycle_ (and <= `limit`) that need not repeat the
+  /// quiet tick just run: a due broadcast, a ROB head completing, a fetch
+  /// or rename stall ending, a wrong-path squash, a function unit freeing
+  /// up, the dispatch watchdog firing, or an interval boundary.
+  [[nodiscard]] Cycle next_event_cycle(Cycle limit) const;
   [[nodiscard]] std::uint32_t icount(ThreadId tid) const;
   /// Registers every component's metrics into `registry_` (constructor).
   void register_metrics();
-  /// Per-cycle observability: occupancy gauges + stall attribution.
-  void sample_observability();
+  /// Per-cycle observability: occupancy gauges + stall attribution, charged
+  /// `cycles` times (more than once only for fast-forwarded cycles).
+  void sample_observability(std::uint64_t cycles = 1);
   /// Snapshot of every cumulative counter the interval engine diffs
   /// (tick-hook boundaries, reset_stats rebase).
   [[nodiscard]] obs::CumulativeSample make_cumulative_sample() const;
@@ -350,13 +384,24 @@ class Pipeline {
   void state_io(persist::Archive& ar);
   void thread_state_io(persist::Archive& ar, ThreadState& ts);
   /// Folds one value into commit_digest_ (FNV-1a over its 8 bytes, LSB
-  /// first -- the byte order is part of the digest contract).
+  /// first -- the byte order is part of the digest contract).  A zero byte
+  /// leaves the xor a no-op, so the run of zero high bytes collapses into
+  /// one multiply by the matching power of the FNV prime (the product is
+  /// the same mod 2^64): a thread id costs one step, not eight.
   void mix_digest(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) {
-      commit_digest_ ^= (v >> (8 * i)) & 0xff;
-      commit_digest_ *= 0x100000001b3ULL;
+    unsigned bytes = 0;
+    for (; v != 0; v >>= 8, ++bytes) {
+      commit_digest_ ^= v & 0xff;
+      commit_digest_ *= kFnvPrimePowers[1];
     }
+    commit_digest_ *= kFnvPrimePowers[8 - bytes];
   }
+  static constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+    std::array<std::uint64_t, 9> p{};
+    p[0] = 1;
+    for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 0x100000001b3ULL;
+    return p;
+  }();
 
   Cycle cycle_ = 0;
   Cycle stats_base_cycle_ = 0;
@@ -366,6 +411,11 @@ class Pipeline {
   std::uint64_t hang_last_total_ = 0;
   Cycle hang_last_progress_ = 0;
   std::uint64_t commit_digest_ = 0xcbf29ce484222325ULL;  ///< FNV-1a basis
+  /// Set by every stage that changed machine state in the current tick (or
+  /// whose outcome hinged on the cycle's rotation order); a tick that
+  /// leaves it clear is quiet and repeats until the next event.
+  bool progress_ = false;
+  std::uint64_t fast_forwarded_ = 0;
   PipelineStats pstats_;
   PipelineObserver* observer_ = nullptr;       ///< not owned; nullptr = off
   const core::FaultHooks* faults_ = nullptr;   ///< not owned; nullptr = fault-free

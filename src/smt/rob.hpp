@@ -57,8 +57,13 @@ class ReorderBuffer {
   RobEntry& allocate(SeqNum seq) {
     MSIM_CHECK(!full());
     MSIM_CHECK(empty() || seq == head_seq_ + count_);
-    if (empty()) head_seq_ = seq;
-    RobEntry& e = slots_[slot_of(seq)];
+    if (empty() && seq != head_seq_) {
+      // Only a restart at another sequence number (flush replay, first
+      // allocation) pays for the division.
+      head_seq_ = seq;
+      head_slot_ = static_cast<std::uint32_t>(seq % capacity_);
+    }
+    RobEntry& e = slots_[slot_at(count_)];
     e = RobEntry{};
     ++count_;
     return e;
@@ -70,31 +75,33 @@ class ReorderBuffer {
 
   [[nodiscard]] RobEntry& entry(SeqNum seq) {
     MSIM_CHECK(contains(seq));
-    return slots_[slot_of(seq)];
+    return slots_[slot_at(static_cast<std::uint32_t>(seq - head_seq_))];
   }
   [[nodiscard]] const RobEntry& entry(SeqNum seq) const {
     MSIM_CHECK(contains(seq));
-    return slots_[slot_of(seq)];
+    return slots_[slot_at(static_cast<std::uint32_t>(seq - head_seq_))];
   }
 
   [[nodiscard]] SeqNum head_seq() const {
     MSIM_CHECK(!empty());
     return head_seq_;
   }
-  [[nodiscard]] RobEntry& head() { return entry(head_seq()); }
+  [[nodiscard]] RobEntry& head() {
+    MSIM_CHECK(!empty());
+    return slots_[head_slot_];
+  }
 
   void pop_head() {
     MSIM_CHECK(!empty());
     ++head_seq_;
+    head_slot_ = slot_at(1);
     --count_;
   }
 
   /// Visits live entries oldest-first (watchdog flush path).
   template <typename Visitor>
   void for_each(Visitor&& visit) const {
-    for (std::uint32_t i = 0; i < count_; ++i) {
-      visit(slots_[slot_of(head_seq_ + i)]);
-    }
+    for (std::uint32_t i = 0; i < count_; ++i) visit(slots_[slot_at(i)]);
   }
 
   /// Drops every entry younger than `last_kept` (partial squash for the
@@ -114,13 +121,18 @@ class ReorderBuffer {
  private:
   void state_io(persist::Archive& ar);
 
-  [[nodiscard]] std::size_t slot_of(SeqNum seq) const noexcept {
-    return static_cast<std::size_t>(seq % capacity_);
+  /// Slot of the entry `offset` places behind the head.  The layout is
+  /// seq % capacity (checkpoints restore entries by it); head_slot_ tracks
+  /// head_seq_ % capacity incrementally so the hot paths never divide.
+  [[nodiscard]] std::uint32_t slot_at(std::uint32_t offset) const noexcept {
+    const std::uint32_t slot = head_slot_ + offset;
+    return slot >= capacity_ ? slot - capacity_ : slot;
   }
 
   std::uint32_t capacity_;
   std::uint32_t count_ = 0;
   SeqNum head_seq_ = 0;
+  std::uint32_t head_slot_ = 0;  ///< head_seq_ % capacity_
   std::vector<RobEntry> slots_;
 };
 

@@ -37,24 +37,36 @@ void ReorderBuffer::state_io(persist::Archive& ar) {
   }
   ar.io(count_);
   ar.io(head_seq_);
+  if (!ar.saving()) {
+    if (count_ > capacity_) throw persist::PersistError("checkpoint: ROB count exceeds capacity");
+    head_slot_ = static_cast<std::uint32_t>(head_seq_ % capacity_);
+  }
   // Live window only, oldest first; dead slots are unobservable (allocate
   // resets them) and restore as default entries.
-  for (std::uint32_t i = 0; i < count_; ++i) {
-    io_rob_entry(ar, slots_[slot_of(head_seq_ + i)]);
-  }
+  for (std::uint32_t i = 0; i < count_; ++i) io_rob_entry(ar, slots_[slot_at(i)]);
 }
 
 MSIM_PERSIST_VIA_STATE_IO(ReorderBuffer)
 
 void LoadStoreQueue::state_io(persist::Archive& ar) {
   ar.section("lsq");
-  ar.io_sequence(entries_, [](persist::Archive& a, Entry& e) {
-    a.io(e.seq);
-    a.io(e.addr);
-    a.io(e.addr_src);
-    a.io(e.data_src);
-    a.io(e.is_store);
-  });
+  // Entries oldest first, count-prefixed (the layout of a sequence); the
+  // ring position is unobservable and restarts at 0.
+  std::uint64_t n = size_;
+  ar.io(n);
+  if (!ar.saving()) {
+    if (n > capacity_) throw persist::PersistError("checkpoint: LSQ count exceeds capacity");
+    head_ = 0;
+    size_ = static_cast<std::uint32_t>(n);
+  }
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    Entry& e = ring_[slot(i)];
+    ar.io(e.seq);
+    ar.io(e.addr);
+    ar.io(e.addr_src);
+    ar.io(e.data_src);
+    ar.io(e.is_store);
+  }
   ar.io(stats_.loads_checked);
   ar.io(stats_.forwards);
   ar.io(stats_.blocked_checks);

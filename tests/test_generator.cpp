@@ -12,13 +12,6 @@
 namespace msim::trace {
 namespace {
 
-std::vector<isa::DynInst> take(TraceGenerator& gen, std::size_t n) {
-  std::vector<isa::DynInst> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(gen.next());
-  return out;
-}
-
 TEST(Generator, DeterministicForSameSeed) {
   const BenchmarkProfile& p = profile_or_throw("gcc");
   TraceGenerator a(p, 99), b(p, 99);

@@ -1,9 +1,13 @@
 #include "core/issue_queue.hpp"
 
 #include <array>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/archive.hpp"
+#include "common/small_vector.hpp"
 
 namespace msim::core {
 namespace {
@@ -248,6 +252,48 @@ TEST(IssueQueue, ComparatorActivityAccounting) {
   reduced.dispatch(make_inst(0, 1), {}, 0);
   reduced.broadcast(5);
   EXPECT_EQ(reduced.stats().comparator_ops, 2u);  // half the CAM activity
+}
+
+// A corrupt waiter-list count used to narrow into SmallVec::reserve, whose
+// doubling loop wrapped to zero above 2^31 and spun forever.  The decoder
+// now bounds the count by the bytes left, like every other sequence.
+TEST(IssueQueueCheckpoint, CorruptWaiterCountIsAPersistErrorNotAHang) {
+  IssueQueue iq(8, 2);
+  const std::array<PhysReg, 2> tags{3, 4};
+  iq.dispatch(make_inst(0, 0), {tags.data(), 2}, 0);
+  persist::Archive saver = persist::Archive::saver();
+  iq.save_state(saver);
+  std::vector<std::uint8_t> bytes = saver.bytes();
+
+  // Offset 396 holds the count of tag 0's waiter list, the first of the
+  // five lists (tags 0..4) the dispatch above created; it is empty.
+  constexpr std::size_t kCountOffset = 396;
+  ASSERT_GE(bytes.size(), kCountOffset + 8);
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + kCountOffset, sizeof count);
+  ASSERT_EQ(count, 0u);
+  count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + kCountOffset, &count, sizeof count);
+
+  IssueQueue restored(8, 2);
+  persist::Archive loader = persist::Archive::loader(std::move(bytes));
+  try {
+    restored.load_state(loader);
+    FAIL() << "corrupt waiter count loaded";
+  } catch (const persist::PersistError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds remaining stream"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SmallVec, GrowsByDoublingAndKeepsContents) {
+  SmallVec<std::uint32_t, 4> v;
+  for (std::uint32_t i = 0; i < 100; ++i) v.push_back(i);
+  EXPECT_FALSE(v.inline_storage());
+  EXPECT_EQ(v.capacity(), 128u);
+  v.reserve(129);
+  EXPECT_EQ(v.capacity(), 256u);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(v[i], i);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Guard rails for the event-driven scheduler hot paths (docs/PERFORMANCE.md).
 //
-// Four layers, from micro to macro:
+// Six layers, from micro to macro:
 //   1. Randomized equivalence: the wakeup-list IssueQueue must behave
 //      exactly like a brute-force reference scan model under randomized
 //      dependency graphs (dispatch/broadcast/issue/squash interleavings).
@@ -13,18 +13,37 @@
 //   4. Golden bit-identity: committed-instruction digests of full 2T/4T
 //      pipeline runs are pinned.  Any optimization that changes a digest
 //      changed machine behavior and violated the bit-identity contract.
+//      Each runs twice: observed (every cycle ticked) and unobserved
+//      (quiet cycles fast-forwarded).
+//   5. Dispatch readiness storms: the scheduler's cached non-ready counts
+//      and HDI tallies must equal a fresh scan (the classification they
+//      replaced, verbatim) after every randomized insert / broadcast /
+//      dispatch / select / squash / flush.
+//   6. Fast-forward matrix: every run_simulation output is byte-identical
+//      between verify=0 (fast-forwarded) and verify=1 (every cycle ticked
+//      under the invariant checker) across scheduler kinds, thread counts,
+//      fetch policies, wrong-path modeling, deadlock remedies, interval
+//      telemetry and checkpointed chunks.
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <filesystem>
 #include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/issue_queue.hpp"
+#include "core/scheduler.hpp"
+#include "sim/report.hpp"
+#include "sim/run.hpp"
 #include "smt/broadcast_schedule.hpp"
 #include "smt/pipeline.hpp"
 #include "trace/profile.hpp"
@@ -572,8 +591,12 @@ struct GoldenRun {
   std::uint64_t dispatched = 0;
 };
 
+/// Runs the pinned configuration.  With `observe` the commit stream is
+/// hashed by a PipelineObserver, which also turns quiet-cycle fast-forward
+/// off; without it the pipeline's own commit_digest() is read and run()
+/// fast-forwards, so the same constants pin the fast-forwarded machine.
 GoldenRun run_digest(SchedulerKind kind, std::initializer_list<const char*> names,
-                     std::uint64_t seed) {
+                     std::uint64_t seed, bool observe = true) {
   const auto w = workload(names);
   smt::MachineConfig mc;
   mc.thread_count = static_cast<unsigned>(w.size());
@@ -581,11 +604,16 @@ GoldenRun run_digest(SchedulerKind kind, std::initializer_list<const char*> name
   mc.scheduler.iq_entries = 64;
   smt::Pipeline pipe(mc, w, seed);
   CommitDigest digest;
-  pipe.set_observer(&digest);
+  if (observe) pipe.set_observer(&digest);
   pipe.run(30'000);
   pipe.set_observer(nullptr);
   GoldenRun g;
-  g.digest = digest.value();
+  g.digest = observe ? digest.value() : pipe.commit_digest();
+  if (observe) {
+    EXPECT_EQ(pipe.fast_forwarded_cycles(), 0u);
+  } else {
+    EXPECT_GT(pipe.fast_forwarded_cycles(), 0u) << "fast-forward never engaged";
+  }
   g.cycles = pipe.cycles();
   g.committed = pipe.total_committed();
   g.iq_wakeups = pipe.scheduler().iq().stats().wakeups;
@@ -609,39 +637,341 @@ void expect_golden(const GoldenRun& got, const GoldenRun& want) {
 // these on purpose (a modeling change, not an optimization), re-derive the
 // constants and say so loudly in the PR; docs/PERFORMANCE.md explains the
 // contract.
+constexpr GoldenRun kTwoThreadTraditional{10830539571080912323ULL, 37241, 46411,
+                                          28340, 2082294, 46589};
+constexpr GoldenRun kTwoThreadTwoOpBlockOoo{12392273267717430596ULL, 37112, 46411,
+                                            24695, 936831, 46585};
+constexpr GoldenRun kFourThreadTraditional{15374823743679590000ULL, 33632, 74292,
+                                           39443, 5085728, 74521};
+constexpr GoldenRun kFourThreadTwoOpBlock{6333350359642444287ULL, 33461, 70535,
+                                          32252, 1518349, 70658};
+constexpr GoldenRun kFourThreadTwoOpBlockOoo{17558748911921286022ULL, 33087, 73790,
+                                             34823, 2434789, 74016};
+constexpr GoldenRun kFourThreadTagElimination{15796738916688664714ULL, 33844, 74460,
+                                              36158, 2863349, 74692};
+
 TEST(GoldenBitIdentity, TwoThreadTraditional) {
   expect_golden(run_digest(SchedulerKind::kTraditional, {"gzip", "equake"}, 1),
-                GoldenRun{10830539571080912323ULL, 37241, 46411, 28340, 2082294, 46589});
+                kTwoThreadTraditional);
 }
 
 TEST(GoldenBitIdentity, TwoThreadTwoOpBlockOoo) {
   expect_golden(run_digest(SchedulerKind::kTwoOpBlockOoo, {"gzip", "equake"}, 1),
-                GoldenRun{12392273267717430596ULL, 37112, 46411, 24695, 936831, 46585});
+                kTwoThreadTwoOpBlockOoo);
 }
 
 TEST(GoldenBitIdentity, FourThreadTraditional) {
   expect_golden(
       run_digest(SchedulerKind::kTraditional, {"gzip", "equake", "gcc", "mesa"}, 1),
-      GoldenRun{15374823743679590000ULL, 33632, 74292, 39443, 5085728, 74521});
+      kFourThreadTraditional);
 }
 
 TEST(GoldenBitIdentity, FourThreadTwoOpBlock) {
   expect_golden(
       run_digest(SchedulerKind::kTwoOpBlock, {"gzip", "equake", "gcc", "mesa"}, 1),
-      GoldenRun{6333350359642444287ULL, 33461, 70535, 32252, 1518349, 70658});
+      kFourThreadTwoOpBlock);
 }
 
 TEST(GoldenBitIdentity, FourThreadTwoOpBlockOoo) {
   expect_golden(
       run_digest(SchedulerKind::kTwoOpBlockOoo, {"gzip", "equake", "gcc", "mesa"}, 1),
-      GoldenRun{17558748911921286022ULL, 33087, 73790, 34823, 2434789, 74016});
+      kFourThreadTwoOpBlockOoo);
 }
 
 TEST(GoldenBitIdentity, FourThreadTagElimination) {
   expect_golden(
       run_digest(SchedulerKind::kTagElimination, {"gzip", "equake", "gcc", "mesa"}, 1),
-      GoldenRun{15796738916688664714ULL, 33844, 74460, 36158, 2863349, 74692});
+      kFourThreadTagElimination);
 }
+
+// The same constants with no observer attached: run() fast-forwards quiet
+// cycles, and the pipeline's own digest and counters must not move.
+TEST(GoldenBitIdentity, TwoThreadTraditionalFastForwarded) {
+  expect_golden(run_digest(SchedulerKind::kTraditional, {"gzip", "equake"}, 1, false),
+                kTwoThreadTraditional);
+}
+
+TEST(GoldenBitIdentity, TwoThreadTwoOpBlockOooFastForwarded) {
+  expect_golden(run_digest(SchedulerKind::kTwoOpBlockOoo, {"gzip", "equake"}, 1, false),
+                kTwoThreadTwoOpBlockOoo);
+}
+
+TEST(GoldenBitIdentity, FourThreadTraditionalFastForwarded) {
+  expect_golden(run_digest(SchedulerKind::kTraditional,
+                           {"gzip", "equake", "gcc", "mesa"}, 1, false),
+                kFourThreadTraditional);
+}
+
+TEST(GoldenBitIdentity, FourThreadTwoOpBlockFastForwarded) {
+  expect_golden(run_digest(SchedulerKind::kTwoOpBlock,
+                           {"gzip", "equake", "gcc", "mesa"}, 1, false),
+                kFourThreadTwoOpBlock);
+}
+
+TEST(GoldenBitIdentity, FourThreadTwoOpBlockOooFastForwarded) {
+  expect_golden(run_digest(SchedulerKind::kTwoOpBlockOoo,
+                           {"gzip", "equake", "gcc", "mesa"}, 1, false),
+                kFourThreadTwoOpBlockOoo);
+}
+
+TEST(GoldenBitIdentity, FourThreadTagEliminationFastForwarded) {
+  expect_golden(run_digest(SchedulerKind::kTagElimination,
+                           {"gzip", "equake", "gcc", "mesa"}, 1, false),
+                kFourThreadTagElimination);
+}
+
+// ---- 5. dispatch readiness storms -------------------------------------------
+
+/// Readiness the way the pipeline keeps it: a register, once ready, stays
+/// ready (the storm never reallocates a live source), and every register
+/// made ready is broadcast to the scheduler.
+class StormEnv final : public DispatchEnv {
+ public:
+  [[nodiscard]] bool is_ready(PhysReg reg) const override {
+    return reg < ready_.size() && ready_[reg];
+  }
+  [[nodiscard]] bool is_oldest_in_rob(ThreadId tid, SeqNum seq) const override {
+    return oldest_[tid] == seq;
+  }
+  void make_ready(PhysReg reg) {
+    if (reg >= ready_.size()) ready_.resize(reg + 1u, false);
+    ready_[reg] = true;
+  }
+  void set_oldest(ThreadId tid, SeqNum seq) { oldest_[tid] = seq; }
+
+ private:
+  std::vector<bool> ready_;
+  std::array<SeqNum, kMaxThreads> oldest_{};
+};
+
+/// The per-cycle classification the cached counts replaced, verbatim.
+unsigned reference_non_ready(const SchedInst& inst, const DispatchEnv& env) {
+  unsigned count = 0;
+  PhysReg first_unready = kNoPhysReg;
+  for (PhysReg src : inst.src) {
+    if (src == kNoPhysReg || env.is_ready(src)) continue;
+    if (src == first_unready) continue;  // one comparator covers both slots
+    first_unready = src;
+    ++count;
+  }
+  return count;
+}
+
+/// The scan sample_behind_ndi replaced, verbatim: HDIs behind the head.
+std::uint64_t reference_hdis_behind(const Scheduler& s, ThreadId tid,
+                                    const DispatchEnv& env) {
+  std::uint64_t hdis = 0;
+  for (std::uint32_t i = 1; i < s.buffer_size(tid); ++i) {
+    if (reference_non_ready(s.buffered(tid, i), env) <= 1) ++hdis;
+  }
+  return hdis;
+}
+
+::testing::AssertionResult cache_matches_scan(const Scheduler& s, unsigned threads,
+                                              const DispatchEnv& env) {
+  for (ThreadId t = 0; t < threads; ++t) {
+    const std::uint32_t size = s.buffer_size(t);
+    for (std::uint32_t i = 0; i < size; ++i) {
+      const unsigned want = reference_non_ready(s.buffered(t, i), env);
+      if (s.buffered_non_ready(t, i) != want) {
+        return ::testing::AssertionFailure()
+               << "thread " << int{t} << " entry " << i << " (seq "
+               << s.buffered(t, i).seq << ") caches " << s.buffered_non_ready(t, i)
+               << " non-ready sources, scan says " << want;
+      }
+    }
+    if (size == 0) continue;
+    const std::uint64_t behind =
+        s.buffered_hdis(t) - (s.buffered_non_ready(t, 0) <= 1 ? 1u : 0u);
+    if (behind != reference_hdis_behind(s, t, env)) {
+      return ::testing::AssertionFailure()
+             << "thread " << int{t} << " HDIs behind the head: tally " << behind
+             << ", scan " << reference_hdis_behind(s, t, env);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Accepts a random subset of the offers.
+class CoinIssueEnv final : public IssueEnv {
+ public:
+  explicit CoinIssueEnv(Rng& rng) : rng_(rng) {}
+  bool try_issue(const SchedInst&, bool) override { return rng_.chance(0.6); }
+
+ private:
+  Rng& rng_;
+};
+
+TEST(DispatchReadinessStorm, CachedCountsAndTalliesMatchAFreshScan) {
+  constexpr unsigned kThreads = 3;
+  constexpr PhysReg kSourcePool = 48;  // sources drawn from here or recent dests
+  for (const SchedulerKind kind :
+       {SchedulerKind::kTraditional, SchedulerKind::kTwoOpBlock,
+        SchedulerKind::kTwoOpBlockOoo, SchedulerKind::kTwoOpBlockOooFiltered,
+        SchedulerKind::kTagElimination}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string(scheduler_kind_name(kind)) + " seed " +
+                   std::to_string(seed));
+      SchedulerConfig cfg;
+      cfg.kind = kind;
+      cfg.iq_entries = 8;
+      cfg.rename_buffer_entries = 12;
+      Scheduler s(cfg, kThreads, 4, 4);
+      StormEnv env;
+      Rng rng(seed * 7919);
+      for (PhysReg r = 0; r < kSourcePool; ++r) {
+        if (rng.chance(0.5)) env.make_ready(r);
+      }
+      std::array<SeqNum, kThreads> next_seq{};
+      std::vector<PhysReg> recent_dests;
+      PhysReg next_dest = kSourcePool;
+      const auto pick_source = [&]() -> PhysReg {
+        if (rng.chance(0.2)) return kNoPhysReg;
+        if (!recent_dests.empty() && rng.chance(0.5)) {
+          return recent_dests[rng.next_below(recent_dests.size())];
+        }
+        return static_cast<PhysReg>(rng.next_below(kSourcePool));
+      };
+      Cycle now = 0;
+      for (int step = 0; step < 3000; ++step) {
+        const auto tid = static_cast<ThreadId>(rng.next_below(kThreads));
+        const std::uint64_t op = rng.next_below(100);
+        if (op < 40) {
+          if (!s.buffer_has_space(tid) || next_dest >= 60'000) continue;
+          SchedInst si;
+          si.tid = tid;
+          si.seq = next_seq[tid]++;
+          si.src[0] = pick_source();
+          si.src[1] = rng.chance(0.15) ? si.src[0] : pick_source();
+          si.dest = next_dest++;  // fresh, not ready
+          recent_dests.push_back(si.dest);
+          if (recent_dests.size() > 16) recent_dests.erase(recent_dests.begin());
+          s.insert(si, env);
+        } else if (op < 65) {
+          // A pending result arrives: ready bit and broadcast together.
+          PhysReg reg = rng.chance(0.5) && !recent_dests.empty()
+                            ? recent_dests[rng.next_below(recent_dests.size())]
+                            : static_cast<PhysReg>(rng.next_below(kSourcePool));
+          if (env.is_ready(reg)) continue;
+          env.make_ready(reg);
+          s.broadcast(reg);
+        } else if (op < 85) {
+          // Let a thread whose head is fully ready claim the ROB head, so
+          // the DAB path runs; otherwise no buffered instruction is oldest.
+          for (ThreadId t = 0; t < kThreads; ++t) {
+            const bool head_ready = s.buffer_size(t) > 0 &&
+                                    reference_non_ready(s.buffered(t, 0), env) == 0;
+            env.set_oldest(t, head_ready && rng.chance(0.5) ? s.buffered(t, 0).seq
+                                                            : ~SeqNum{0});
+          }
+          (void)s.run_dispatch(++now, env);
+        } else if (op < 95) {
+          CoinIssueEnv issue(rng);
+          (void)s.run_select(++now, issue);
+        } else if (op < 99) {
+          if (next_seq[tid] == 0) continue;
+          const SeqNum keep = rng.next_below(next_seq[tid]);
+          s.squash_younger(tid, keep);
+          next_seq[tid] = keep + 1;
+        } else {
+          s.flush();
+        }
+        ASSERT_TRUE(cache_matches_scan(s, kThreads, env)) << "after step " << step;
+      }
+    }
+  }
+}
+
+// ---- 6. fast-forward matrix: verify=0 vs verify=1 --------------------------
+
+struct MatrixCell {
+  SchedulerKind kind;
+  unsigned threads;
+
+  friend void PrintTo(const MatrixCell& cell, std::ostream* os) {
+    *os << scheduler_kind_name(cell.kind) << " x" << cell.threads;
+  }
+};
+
+class FastForwardMatrix : public ::testing::TestWithParam<MatrixCell> {};
+
+TEST_P(FastForwardMatrix, RunJsonIsByteIdenticalToTheEveryCycleOracle) {
+  static const std::vector<std::vector<std::string>> kMixes = {
+      {"gcc"},
+      {"gzip", "equake"},
+      {"art", "gcc", "mesa"},
+      // Two threads of this mix often sit on the wrong path with nowhere to
+      // fetch while a third waits for a fetch port, the case in which a
+      // quiet cycle depends on the fetch rotation.
+      {"gcc", "gzip", "perlbmk", "vortex"}};
+  const MatrixCell cell = GetParam();
+  const std::string ckpt =
+      (std::filesystem::temp_directory_path() /
+       ("msim-ffmatrix-" + std::to_string(::getpid()) + "-" +
+        std::to_string(static_cast<int>(cell.kind)) + "-" + std::to_string(cell.threads)))
+          .string();
+  for (const smt::FetchPolicy fetch :
+       {smt::FetchPolicy::kIcount, smt::FetchPolicy::kRoundRobin,
+        smt::FetchPolicy::kStall, smt::FetchPolicy::kFlush}) {
+    for (const bool wrong_path : {false, true}) {
+      for (const DeadlockMode deadlock :
+           {DeadlockMode::kAvoidanceBuffer, DeadlockMode::kWatchdog}) {
+        for (const bool intervals : {false, true}) {
+          for (const bool chunked : {false, true}) {
+            sim::RunConfig cfg;
+            cfg.benchmarks = kMixes[cell.threads - 1];
+            cfg.kind = cell.kind;
+            cfg.iq_entries = 16;
+            cfg.deadlock = deadlock;
+            cfg.watchdog_timeout = 60;
+            cfg.fetch_policy = fetch;
+            cfg.model_wrong_path = wrong_path;
+            cfg.seed = 3;
+            cfg.warmup = 400;
+            cfg.horizon = 1'500;
+            cfg.interval_cycles = intervals ? 128 : 0;
+            if (chunked) {
+              cfg.checkpoint_path = ckpt;
+              cfg.checkpoint_every = 700;
+            }
+            SCOPED_TRACE(std::string(smt::fetch_policy_name(fetch)) +
+                         (wrong_path ? " wrong-path" : "") + " " +
+                         std::string(deadlock_mode_name(deadlock)) +
+                         (intervals ? " intervals" : "") + (chunked ? " chunked" : ""));
+            sim::RunConfig oracle = cfg;
+            oracle.verify = true;
+            std::ostringstream fast;
+            std::ostringstream ticked;
+            // Both results under the verify=0 config, so only the run differs.
+            sim::write_run_json(fast, cfg, sim::run_simulation(cfg));
+            sim::write_run_json(ticked, cfg, sim::run_simulation(oracle));
+            ASSERT_EQ(fast.str(), ticked.str());
+          }
+        }
+      }
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove(ckpt, ec);
+}
+
+std::vector<MatrixCell> matrix_cells() {
+  std::vector<MatrixCell> cells;
+  for (const SchedulerKind kind :
+       {SchedulerKind::kTraditional, SchedulerKind::kTwoOpBlock,
+        SchedulerKind::kTwoOpBlockOoo, SchedulerKind::kTwoOpBlockOooFiltered,
+        SchedulerKind::kTagElimination}) {
+    for (unsigned threads = 1; threads <= 4; ++threads) cells.push_back({kind, threads});
+  }
+  return cells;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KindsByThreads, FastForwardMatrix, ::testing::ValuesIn(matrix_cells()),
+    [](const ::testing::TestParamInfo<MatrixCell>& param_info) {
+      return std::string(scheduler_kind_name(param_info.param.kind)) + "_" +
+             std::to_string(param_info.param.threads) + "t";
+    });
 
 }  // namespace
 }  // namespace msim::core

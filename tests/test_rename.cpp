@@ -96,7 +96,7 @@ TEST(Rename, CanAllocateReflectsExhaustion) {
 TEST(Rename, RoundTripRenameCommitNeverLeaks) {
   RenameUnit r(1, 64, 64);
   const unsigned free0 = r.free_int_regs();
-  for (int i = 0; i < 1000; ++i) {
+  for (unsigned i = 0; i < 1000; ++i) {
     const auto dest = static_cast<ArchReg>(i % isa::kIntArchRegs);
     const RenameResult rr = r.rename(0, alu(dest));
     r.set_ready(rr.dest);

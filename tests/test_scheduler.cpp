@@ -12,7 +12,10 @@ namespace msim::core {
 namespace {
 
 /// Test double: readiness is an explicit set; "oldest in ROB" is an
-/// explicit (tid -> seq) map.
+/// explicit (tid -> seq) map.  The scheduler reads readiness when an
+/// instruction is inserted and follows it through broadcast() afterwards,
+/// so a test that readies a register under buffered instructions also
+/// broadcasts it, as the pipeline does.
 class FakeEnv final : public DispatchEnv {
  public:
   [[nodiscard]] bool is_ready(PhysReg reg) const override {
@@ -73,7 +76,7 @@ SchedInst inst(ThreadId tid, SeqNum seq, PhysReg s0 = kNoPhysReg,
 TEST(TraditionalDispatch, DispatchesTwoNonReadyInstructions) {
   Scheduler s(config_for(SchedulerKind::kTraditional), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, /*s0=*/10, /*s1=*/11));  // both sources non-ready
+  s.insert(inst(0, 0, /*s0=*/10, /*s1=*/11), env);  // both sources non-ready
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 1u);
   EXPECT_EQ(s.dispatch_stats().dispatched_by_nonready[2], 1u);
@@ -82,7 +85,7 @@ TEST(TraditionalDispatch, DispatchesTwoNonReadyInstructions) {
 TEST(TraditionalDispatch, InOrderWithinThread) {
   Scheduler s(config_for(SchedulerKind::kTraditional), 1, 2, 8);
   FakeEnv env;
-  for (SeqNum q = 0; q < 4; ++q) s.insert(inst(0, q));
+  for (SeqNum q = 0; q < 4; ++q) s.insert(inst(0, q), env);
   (void)s.run_dispatch(1, env);
   // Width 2: exactly the two oldest went.
   RecordingIssueEnv issue;
@@ -95,7 +98,7 @@ TEST(TraditionalDispatch, InOrderWithinThread) {
 TEST(TraditionalDispatch, StopsWhenIqFull) {
   Scheduler s(config_for(SchedulerKind::kTraditional, /*iq=*/2), 1, 8, 8);
   FakeEnv env;
-  for (SeqNum q = 0; q < 4; ++q) s.insert(inst(0, q));
+  for (SeqNum q = 0; q < 4; ++q) s.insert(inst(0, q), env);
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 2u);
   EXPECT_EQ(s.dispatch_stats().iq_full_thread_cycles, 1u);
@@ -107,8 +110,8 @@ TEST(TraditionalDispatch, StopsWhenIqFull) {
 TEST(TwoOpBlock, NdiBlocksWholeThread) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlock), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // NDI: two distinct non-ready sources
-  s.insert(inst(0, 1));          // dispatchable, but stuck behind the NDI
+  s.insert(inst(0, 0, 10, 11), env);  // NDI: two distinct non-ready sources
+  s.insert(inst(0, 1), env);          // dispatchable, but stuck behind the NDI
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 0u);
   EXPECT_EQ(s.buffer_size(0), 2u);
@@ -119,10 +122,11 @@ TEST(TwoOpBlock, NdiBlocksWholeThread) {
 TEST(TwoOpBlock, UnblocksWhenOneSourceBecomesReady) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlock), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 0, 10, 11), env);
+  s.insert(inst(0, 1), env);
   (void)s.run_dispatch(1, env);
   env.set_ready(10);  // first source arrives
+  s.broadcast(10);
   const auto result = s.run_dispatch(2, env);
   EXPECT_EQ(result.dispatched, 2u);  // the ex-NDI and the one behind it
   EXPECT_EQ(s.dispatch_stats().dispatched_by_nonready[1], 1u);
@@ -133,7 +137,7 @@ TEST(TwoOpBlock, DuplicateSourceCountsOnce) {
   // is NOT an NDI.
   Scheduler s(config_for(SchedulerKind::kTwoOpBlock), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, /*s0=*/10, /*s1=*/10));
+  s.insert(inst(0, 0, /*s0=*/10, /*s1=*/10), env);
   EXPECT_EQ(s.run_dispatch(1, env).dispatched, 1u);
 }
 
@@ -141,16 +145,16 @@ TEST(TwoOpBlock, ReadySourcesDontNeedComparators) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlock), 1, 8, 8);
   FakeEnv env;
   env.set_ready(10);
-  s.insert(inst(0, 0, 10, 11));  // only one non-ready
+  s.insert(inst(0, 0, 10, 11), env);  // only one non-ready
   EXPECT_EQ(s.run_dispatch(1, env).dispatched, 1u);
 }
 
 TEST(TwoOpBlock, OtherThreadsProceedPastABlockedThread) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlock), 2, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // thread 0 blocked
-  s.insert(inst(1, 0));
-  s.insert(inst(1, 1));
+  s.insert(inst(0, 0, 10, 11), env);  // thread 0 blocked
+  s.insert(inst(1, 0), env);
+  s.insert(inst(1, 1), env);
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 2u);
   EXPECT_EQ(s.buffer_size(0), 1u);
@@ -162,10 +166,10 @@ TEST(TwoOpBlock, OtherThreadsProceedPastABlockedThread) {
 TEST(TwoOpBlock, HdiSamplingBehindNdi) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlock), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // blocking NDI
-  s.insert(inst(0, 1));          // HDI
-  s.insert(inst(0, 2, 20, 21));  // another NDI (not an HDI)
-  s.insert(inst(0, 3));          // HDI
+  s.insert(inst(0, 0, 10, 11), env);  // blocking NDI
+  s.insert(inst(0, 1), env);          // HDI
+  s.insert(inst(0, 2, 20, 21), env);  // another NDI (not an HDI)
+  s.insert(inst(0, 3), env);          // HDI
   (void)s.run_dispatch(1, env);
   EXPECT_EQ(s.dispatch_stats().behind_ndi_examined, 3u);
   EXPECT_EQ(s.dispatch_stats().behind_ndi_hdis, 2u);
@@ -176,9 +180,9 @@ TEST(TwoOpBlock, HdiSamplingBehindNdi) {
 TEST(OooDispatch, HdisBypassTheNdi) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // NDI stays
-  s.insert(inst(0, 1));          // HDI dispatches
-  s.insert(inst(0, 2));          // HDI dispatches
+  s.insert(inst(0, 0, 10, 11), env);  // NDI stays
+  s.insert(inst(0, 1), env);          // HDI dispatches
+  s.insert(inst(0, 2), env);          // HDI dispatches
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 2u);
   EXPECT_EQ(s.buffer_size(0), 1u);  // only the NDI remains
@@ -191,10 +195,10 @@ TEST(OooDispatch, Figure2Example) {
   // (no filtering); I2 stays.
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, kNoPhysReg, kNoPhysReg, /*dest=*/1));      // I1
-  s.insert(inst(0, 1, 50, 51, /*dest=*/2));                      // I2 (NDI)
-  s.insert(inst(0, 2, kNoPhysReg, kNoPhysReg, /*dest=*/3));      // I3
-  s.insert(inst(0, 3, /*s0=*/2, kNoPhysReg, /*dest=*/4));        // I4 reads I2
+  s.insert(inst(0, 0, kNoPhysReg, kNoPhysReg, /*dest=*/1), env);      // I1
+  s.insert(inst(0, 1, 50, 51, /*dest=*/2), env);                      // I2 (NDI)
+  s.insert(inst(0, 2, kNoPhysReg, kNoPhysReg, /*dest=*/3), env);      // I3
+  s.insert(inst(0, 3, /*s0=*/2, kNoPhysReg, /*dest=*/4), env);        // I4 reads I2
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 3u);
   EXPECT_EQ(s.buffer_size(0), 1u);
@@ -206,9 +210,9 @@ TEST(OooDispatch, Figure2Example) {
 TEST(OooDispatch, TransitiveDependenceIsTracked) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 50, 51, /*dest=*/2));                 // NDI writes r2
-  s.insert(inst(0, 1, /*s0=*/2, kNoPhysReg, /*dest=*/3));   // depends on NDI
-  s.insert(inst(0, 2, /*s0=*/3, kNoPhysReg, /*dest=*/4));   // transitively dependent
+  s.insert(inst(0, 0, 50, 51, /*dest=*/2), env);                 // NDI writes r2
+  s.insert(inst(0, 1, /*s0=*/2, kNoPhysReg, /*dest=*/3), env);   // depends on NDI
+  s.insert(inst(0, 2, /*s0=*/3, kNoPhysReg, /*dest=*/4), env);   // transitively dependent
   (void)s.run_dispatch(1, env);
   EXPECT_EQ(s.dispatch_stats().ooo_dispatches, 2u);
   EXPECT_EQ(s.dispatch_stats().ooo_dispatches_dependent, 2u);
@@ -219,9 +223,9 @@ TEST(OooDispatch, ScanDepthBoundsTheSearch) {
   cfg.scan_depth = 2;
   Scheduler s(cfg, 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // NDI (examined: 1)
-  s.insert(inst(0, 1, 12, 13));  // NDI (examined: 2) -> scan stops
-  s.insert(inst(0, 2));          // dispatchable but beyond the scan depth
+  s.insert(inst(0, 0, 10, 11), env);  // NDI (examined: 1)
+  s.insert(inst(0, 1, 12, 13), env);  // NDI (examined: 2) -> scan stops
+  s.insert(inst(0, 2), env);          // dispatchable but beyond the scan depth
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 0u);
 }
@@ -229,10 +233,11 @@ TEST(OooDispatch, ScanDepthBoundsTheSearch) {
 TEST(OooDispatch, NdiDispatchesOnceASourceArrives) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));
+  s.insert(inst(0, 0, 10, 11), env);
   (void)s.run_dispatch(1, env);
   EXPECT_EQ(s.buffer_size(0), 1u);
   env.set_ready(11);
+  s.broadcast(11);
   EXPECT_EQ(s.run_dispatch(2, env).dispatched, 1u);
   EXPECT_EQ(s.buffer_size(0), 0u);
 }
@@ -241,8 +246,8 @@ TEST(OooDispatch, WidthIsSharedAcrossThreads) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/16), 2, 4, 8);
   FakeEnv env;
   for (SeqNum q = 0; q < 4; ++q) {
-    s.insert(inst(0, q));
-    s.insert(inst(1, q));
+    s.insert(inst(0, q), env);
+    s.insert(inst(1, q), env);
   }
   EXPECT_EQ(s.run_dispatch(1, env).dispatched, 4u);
   // Round-robin: each thread got two.
@@ -255,9 +260,9 @@ TEST(OooDispatch, WidthIsSharedAcrossThreads) {
 TEST(FilteredDispatch, SuppressesNdiDependentHdis) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOooFiltered), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 50, 51, /*dest=*/2));                 // NDI
-  s.insert(inst(0, 1, /*s0=*/2, kNoPhysReg, /*dest=*/3));   // dependent HDI
-  s.insert(inst(0, 2));                                     // independent HDI
+  s.insert(inst(0, 0, 50, 51, /*dest=*/2), env);                 // NDI
+  s.insert(inst(0, 1, /*s0=*/2, kNoPhysReg, /*dest=*/3), env);   // dependent HDI
+  s.insert(inst(0, 2), env);                                     // independent HDI
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 1u);  // only the independent one
   EXPECT_EQ(s.dispatch_stats().filtered_suppressed, 1u);
@@ -267,9 +272,9 @@ TEST(FilteredDispatch, SuppressesNdiDependentHdis) {
 TEST(FilteredDispatch, TransitiveSuppression) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOooFiltered), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 50, 51, /*dest=*/2));                 // NDI
-  s.insert(inst(0, 1, /*s0=*/2, kNoPhysReg, /*dest=*/3));   // dependent
-  s.insert(inst(0, 2, /*s0=*/3, kNoPhysReg, /*dest=*/4));   // transitively dep
+  s.insert(inst(0, 0, 50, 51, /*dest=*/2), env);                 // NDI
+  s.insert(inst(0, 1, /*s0=*/2, kNoPhysReg, /*dest=*/3), env);   // dependent
+  s.insert(inst(0, 2, /*s0=*/3, kNoPhysReg, /*dest=*/4), env);   // transitively dep
   EXPECT_EQ(s.run_dispatch(1, env).dispatched, 0u);
   EXPECT_EQ(s.dispatch_stats().filtered_suppressed, 2u);
 }
@@ -279,9 +284,9 @@ TEST(FilteredDispatch, TransitiveSuppression) {
 TEST(Dab, OldestRobInstructionParksWhenIqFull) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/1), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   (void)s.run_dispatch(1, env);  // fills the 1-entry IQ
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   env.set_oldest(0, 1);          // seq 0 has committed; 1 is oldest in ROB
   const auto result = s.run_dispatch(2, env);
   EXPECT_EQ(result.dispatched, 1u);
@@ -292,9 +297,9 @@ TEST(Dab, OldestRobInstructionParksWhenIqFull) {
 TEST(Dab, NonOldestDoesNotPark) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/1), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   (void)s.run_dispatch(1, env);
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   env.set_oldest(0, 0);  // seq 0 is still in the ROB (in the IQ, unissued)
   EXPECT_EQ(s.run_dispatch(2, env).dispatched, 0u);
   EXPECT_FALSE(s.dab_occupied(0));
@@ -304,9 +309,9 @@ TEST(Dab, NonOldestDoesNotPark) {
 TEST(Dab, IssuesWithPriorityAndExclusively) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/1), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   (void)s.run_dispatch(1, env);
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   env.set_oldest(0, 1);
   (void)s.run_dispatch(2, env);  // parks seq 1 in the DAB
   RecordingIssueEnv issue;
@@ -325,9 +330,9 @@ TEST(Dab, NonExclusiveModeAllowsIqIssueAlongside) {
   cfg.dab_exclusive = false;
   Scheduler s(cfg, 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   (void)s.run_dispatch(1, env);
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   env.set_oldest(0, 1);
   (void)s.run_dispatch(2, env);
   RecordingIssueEnv issue;
@@ -340,9 +345,9 @@ TEST(Dab, NonExclusiveModeAllowsIqIssueAlongside) {
 TEST(Dab, RejectedOfferKeepsInstructionParked) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/1), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   (void)s.run_dispatch(1, env);
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   env.set_oldest(0, 1);
   (void)s.run_dispatch(2, env);
   RecordingIssueEnv refuse(0);  // e.g. all function units busy
@@ -358,7 +363,7 @@ TEST(Watchdog, FiresAfterTimeoutOfNoDispatchWithWorkWaiting) {
   cfg.watchdog_timeout = 3;
   Scheduler s(cfg, 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // permanently blocked NDI
+  s.insert(inst(0, 0, 10, 11), env);  // permanently blocked NDI
   EXPECT_FALSE(s.run_dispatch(1, env).watchdog_fired);
   EXPECT_FALSE(s.run_dispatch(2, env).watchdog_fired);
   EXPECT_TRUE(s.run_dispatch(3, env).watchdog_fired);
@@ -371,10 +376,10 @@ TEST(Watchdog, DispatchResetsTheCountdown) {
   cfg.watchdog_timeout = 3;
   Scheduler s(cfg, 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));
+  s.insert(inst(0, 0, 10, 11), env);
   (void)s.run_dispatch(1, env);
   (void)s.run_dispatch(2, env);
-  s.insert(inst(0, 1));  // an HDI arrives and dispatches -> reset
+  s.insert(inst(0, 1), env);  // an HDI arrives and dispatches -> reset
   EXPECT_FALSE(s.run_dispatch(3, env).watchdog_fired);
   EXPECT_FALSE(s.run_dispatch(4, env).watchdog_fired);
   EXPECT_FALSE(s.run_dispatch(5, env).watchdog_fired);
@@ -398,7 +403,7 @@ TEST(Watchdog, InOrderPoliciesNeverFire) {
   cfg.watchdog_timeout = 2;
   Scheduler s(cfg, 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));
+  s.insert(inst(0, 0, 10, 11), env);
   for (Cycle c = 1; c < 20; ++c) {
     EXPECT_FALSE(s.run_dispatch(c, env).watchdog_fired);
   }
@@ -409,9 +414,9 @@ TEST(Watchdog, InOrderPoliciesNeverFire) {
 TEST(SchedulerFlush, ClearsAllState) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/1), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   (void)s.run_dispatch(1, env);
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   env.set_oldest(0, 1);
   (void)s.run_dispatch(2, env);  // DAB occupied, IQ full
   s.flush();
@@ -420,19 +425,19 @@ TEST(SchedulerFlush, ClearsAllState) {
   EXPECT_EQ(s.iq().size(), 0u);
   EXPECT_EQ(s.held_instructions(0), 0u);
   // Replay after a flush restarts at an older sequence number.
-  s.insert(inst(0, 0));
+  s.insert(inst(0, 0), env);
   EXPECT_EQ(s.run_dispatch(3, env).dispatched, 1u);
 }
 
 TEST(SchedulerBookkeeping, HeldInstructionsCountsAllStations) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/1), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
-  s.insert(inst(0, 1, 10, 11));
+  s.insert(inst(0, 0), env);
+  s.insert(inst(0, 1, 10, 11), env);
   EXPECT_EQ(s.held_instructions(0), 2u);
   (void)s.run_dispatch(1, env);  // seq 0 -> IQ
   EXPECT_EQ(s.held_instructions(0), 2u);
-  s.insert(inst(0, 2));
+  s.insert(inst(0, 2), env);
   env.set_oldest(0, 0);
   (void)s.run_dispatch(2, env);
   EXPECT_EQ(s.held_instructions(0), 3u);
@@ -440,18 +445,20 @@ TEST(SchedulerBookkeeping, HeldInstructionsCountsAllStations) {
 
 TEST(SchedulerBookkeeping, OutOfOrderInsertIsRejected) {
   Scheduler s(config_for(SchedulerKind::kTraditional), 1, 8, 8);
-  s.insert(inst(0, 0));
-  s.insert(inst(0, 1));
-  EXPECT_DEATH(s.insert(inst(0, 5)), "MSIM_CHECK");
+  FakeEnv env;
+  s.insert(inst(0, 0), env);
+  s.insert(inst(0, 1), env);
+  EXPECT_DEATH(s.insert(inst(0, 5), env), "MSIM_CHECK");
 }
 
 TEST(SchedulerBookkeeping, BufferCapacityEnforced) {
   SchedulerConfig cfg = config_for(SchedulerKind::kTraditional);
   cfg.rename_buffer_entries = 2;
   Scheduler s(cfg, 1, 8, 8);
-  s.insert(inst(0, 0));
+  FakeEnv env;
+  s.insert(inst(0, 0), env);
   EXPECT_TRUE(s.buffer_has_space(0));
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   EXPECT_FALSE(s.buffer_has_space(0));
 }
 
@@ -480,12 +487,16 @@ TEST_P(PolicyConservation, EveryInsertedInstructionIsAccountedFor) {
       if (s.buffer_has_space(t) && rand() % 2) {
         const PhysReg s0 = rand() % 3 ? kNoPhysReg : static_cast<PhysReg>(rand() % 8);
         const PhysReg s1 = rand() % 3 ? kNoPhysReg : static_cast<PhysReg>(rand() % 8);
-        s.insert(inst(t, next_seq[t]++, s0, s1));
+        s.insert(inst(t, next_seq[t]++, s0, s1), env);
         ++inserted;
       }
     }
     // Make low registers ready over time so NDIs eventually unblock.
-    if (c % 5 == 0) env.set_ready(static_cast<PhysReg>((c / 5) % 8));
+    if (c % 5 == 0) {
+      const auto reg = static_cast<PhysReg>((c / 5) % 8);
+      env.set_ready(reg);
+      s.broadcast(reg);
+    }
     (void)s.run_dispatch(c, env);
     RecordingIssueEnv sink;
     issued += s.run_select(c, sink);
@@ -499,8 +510,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SchedulerKind::kTraditional, SchedulerKind::kTwoOpBlock,
                       SchedulerKind::kTwoOpBlockOoo,
                       SchedulerKind::kTwoOpBlockOooFiltered),
-    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-      return std::string(scheduler_kind_name(info.param));
+    [](const ::testing::TestParamInfo<SchedulerKind>& param_info) {
+      return std::string(scheduler_kind_name(param_info.param));
     });
 
 TEST(SchedulerNames, AllNamed) {
@@ -519,7 +530,7 @@ TEST(SchedulerNames, AllNamed) {
 TEST(TagElimination, TwoNonReadyUsesATwoComparatorEntry) {
   Scheduler s(config_for(SchedulerKind::kTagElimination, /*iq=*/8), 1, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0, 10, 11));  // needs a 2-cmp entry; layout has 8/4 = 2
+  s.insert(inst(0, 0, 10, 11), env);  // needs a 2-cmp entry; layout has 8/4 = 2
   EXPECT_EQ(s.run_dispatch(1, env).dispatched, 1u);
   EXPECT_EQ(s.dispatch_stats().dispatched_by_nonready[2], 1u);
 }
@@ -528,10 +539,10 @@ TEST(TagElimination, BlocksWhenTwoCmpEntriesExhausted) {
   Scheduler s(config_for(SchedulerKind::kTagElimination, /*iq=*/8), 1, 8, 8);
   FakeEnv env;
   // The 8-entry layout has two 2-comparator entries; fill them.
-  s.insert(inst(0, 0, 10, 11));
-  s.insert(inst(0, 1, 12, 13));
-  s.insert(inst(0, 2, 14, 15));  // no 2-cmp entry left
-  s.insert(inst(0, 3));          // would fit a 0/1-cmp entry, but in-order
+  s.insert(inst(0, 0, 10, 11), env);
+  s.insert(inst(0, 1, 12, 13), env);
+  s.insert(inst(0, 2, 14, 15), env);  // no 2-cmp entry left
+  s.insert(inst(0, 3), env);          // would fit a 0/1-cmp entry, but in-order
   const auto result = s.run_dispatch(1, env);
   EXPECT_EQ(result.dispatched, 2u);
   EXPECT_EQ(s.buffer_size(0), 2u);
@@ -543,7 +554,7 @@ TEST(TagElimination, BlocksWhenTwoCmpEntriesExhausted) {
 TEST(TagElimination, ReadyInstructionsFlowThroughSmallEntries) {
   Scheduler s(config_for(SchedulerKind::kTagElimination, /*iq=*/8), 1, 8, 8);
   FakeEnv env;
-  for (SeqNum q = 0; q < 8; ++q) s.insert(inst(0, q));  // all ready
+  for (SeqNum q = 0; q < 8; ++q) s.insert(inst(0, q), env);  // all ready
   EXPECT_EQ(s.run_dispatch(1, env).dispatched, 8u);
   EXPECT_TRUE(s.iq().full());
 }
@@ -551,17 +562,17 @@ TEST(TagElimination, ReadyInstructionsFlowThroughSmallEntries) {
 TEST(SchedulerSquash, RemovesYoungerFromBufferAndIq) {
   Scheduler s(config_for(SchedulerKind::kTwoOpBlockOoo, /*iq=*/8), 2, 8, 8);
   FakeEnv env;
-  s.insert(inst(0, 0));
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 0), env);
+  s.insert(inst(0, 1), env);
   (void)s.run_dispatch(1, env);      // both into the IQ
-  s.insert(inst(0, 2, 10, 11));      // NDI stays in the buffer
-  s.insert(inst(1, 0));
+  s.insert(inst(0, 2, 10, 11), env);      // NDI stays in the buffer
+  s.insert(inst(1, 0), env);
   s.squash_younger(0, 0);
   EXPECT_EQ(s.buffer_size(0), 0u);   // seq 2 squashed from the buffer
   EXPECT_EQ(s.held_instructions(0), 1u);  // only IQ seq 0 remains
   EXPECT_EQ(s.buffer_size(1), 1u);   // other thread untouched
   // Replay re-inserts starting at the squash point.
-  s.insert(inst(0, 1));
+  s.insert(inst(0, 1), env);
   EXPECT_EQ(s.buffer_size(0), 1u);
 }
 

@@ -82,8 +82,8 @@ TEST(TraceSummary, CountsMatchDirectScan) {
   EXPECT_EQ(s.instructions, insts.size());
   std::uint64_t branches = 0, loads = 0;
   for (const auto& inst : insts) {
-    branches += inst.is_branch() ? 1 : 0;
-    loads += inst.is_load() ? 1 : 0;
+    branches += inst.is_branch() ? 1u : 0u;
+    loads += inst.is_load() ? 1u : 0u;
   }
   EXPECT_EQ(s.branches, branches);
   EXPECT_EQ(s.loads, loads);
